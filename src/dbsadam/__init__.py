@@ -64,21 +64,16 @@ from .losses import (
 )
 from .models import (
     LstmCellParams,
-    LstmState,
     SequenceNetwork,
     bilstm_layer_forward,
     init_lstm_params,
-    lstm_cell_forward,
     network_backward,
     network_forward,
 )
 from .numerics import (
     SeededRng,
     finite_difference_gradient,
-    l2_norm,
-    matmul,
     sigmoid,
-    tanh,
 )
 from .optimizers import (
     DifficultyTracker,

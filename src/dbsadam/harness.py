@@ -160,14 +160,26 @@ class ExperimentConfig:
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
         if self.grad_norm_mode not in GRAD_NORM_MODES:
             raise ConfigError(f"unknown grad_norm_mode {self.grad_norm_mode!r}")
-        if not (0.0 < self.d_min <= self.d_max):
-            raise ConfigError(f"need 0 < d_min <= d_max, got [{self.d_min}, {self.d_max}]")
         if not (0.0 <= self.test_fraction < 1.0 and 0.0 <= self.validation_fraction < 1.0):
             raise ConfigError("fractions must lie in [0, 1)")
         if self.dataset != "synthetic" and not self.schema_file:
             raise ConfigError("a CSV dataset requires schema_file")
         if self.sweep_seeds < 1:
             raise ConfigError(f"sweep_seeds must be >= 1, got {self.sweep_seeds}")
+        if self.sequence_chunks < 1:
+            raise ConfigError(f"sequence_chunks must be >= 1, got {self.sequence_chunks}")
+        try:
+            _from_shared_fields(OptimizerConfig, self)
+            _from_shared_fields(DifficultyTracker, self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+def _from_shared_fields(cls, config: ExperimentConfig):
+    """Build an OptimizerConfig or DifficultyTracker from the config fields
+    it shares by name; its own __post_init__ does the validation."""
+    shared = {f.name for f in fields(ExperimentConfig)}
+    return cls(**{f.name: getattr(config, f.name) for f in fields(cls) if f.name in shared})
 
 
 def _parse_value(raw: str, target_type) -> object:
@@ -178,10 +190,11 @@ def _parse_value(raw: str, target_type) -> object:
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"expected a boolean, got {raw!r}")
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
+    if target_type in (int, float):
+        try:
+            return target_type(raw)
+        except ValueError:
+            raise ConfigError(f"expected {target_type.__name__}, got {raw!r}") from None
     if target_type is str:
         return raw
     raise ConfigError(f"unsupported config type {target_type}")
@@ -364,26 +377,9 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
     )
     params = net.params()
     state = OptimizerState(params)
-    opt_config = OptimizerConfig(
-        base_lr=config.base_lr,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-        weight_decay=config.weight_decay,
-        adabound_final_lr=config.adabound_final_lr,
-        adabound_gamma=config.adabound_gamma,
-        eps_inside_sqrt=config.eps_inside_sqrt,
-    )
+    opt_config = _from_shared_fields(OptimizerConfig, config)
     is_dbs = config.optimizer == "dbs_adam"
-    tracker = DifficultyTracker(
-        ema_beta=config.ema_beta,
-        alpha_mix=config.alpha_mix,
-        clip_k=config.clip_k,
-        d_min=config.d_min,
-        d_max=config.d_max,
-        norm_epsilon=config.norm_epsilon,
-        warmup_batches=config.warmup_batches,
-    ) if is_dbs else None
+    tracker = _from_shared_fields(DifficultyTracker, config) if is_dbs else None
     loss_config = _make_loss_config(config, train_ds.labels, n_classes)
 
     shuffle_rng = root.child(_STREAM_SHUFFLE)

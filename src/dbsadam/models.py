@@ -2,8 +2,9 @@
 
 Architecture: two Bi-LSTM layers -> dropout after each -> temporal
 aggregation -> dense ReLU layer -> dropout -> class logits. Each direction of
-a Bi-LSTM is a standard LSTM cell over the concatenation [h_prev, x]; the two
-directions are fused by elementwise addition per timestep.
+a Bi-LSTM is a standard LSTM cell over the concatenation [h_prev, x], its
+four gates stacked into one weight matrix; the two directions are fused by
+elementwise addition per timestep.
 
 Parameters live in ndarrays owned by SequenceNetwork; params() exposes them
 as a flat name -> array dict whose entries the optimizers update in place.
@@ -25,39 +26,23 @@ GATE_NAMES = ("f", "i", "c", "o")
 
 @dataclass
 class LstmCellParams:
-    """One direction's gate weights; each W has shape (hidden, hidden + input)
-    and acts on the concatenation [h_prev, x]."""
+    """One direction's gate weights, stacked cuDNN-style: W (4H, H + F) acts
+    on the concatenation [h_prev, x] and b has shape (4H,); the row blocks
+    of both are the f, i, c, o gates in that order."""
 
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_c: np.ndarray
-    W_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    W: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.W_f.shape[0]
+        return self.W.shape[0] // len(GATE_NAMES)
 
     @property
     def input_size(self) -> int:
-        return self.W_f.shape[1] - self.W_f.shape[0]
+        return self.W.shape[1] - self.hidden_size
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "W_f": self.W_f, "W_i": self.W_i, "W_c": self.W_c, "W_o": self.W_o,
-            "b_f": self.b_f, "b_i": self.b_i, "b_c": self.b_c, "b_o": self.b_o,
-        }
-
-
-@dataclass
-class LstmState:
-    """Hidden and cell state vectors of one direction."""
-
-    h: np.ndarray
-    c: np.ndarray
+        return {"W": self.W, "b": self.b}
 
 
 def _glorot(rng: SeededRng, shape: tuple[int, int]) -> np.ndarray:
@@ -67,68 +52,42 @@ def _glorot(rng: SeededRng, shape: tuple[int, int]) -> np.ndarray:
 
 
 def init_lstm_params(hidden: int, input_size: int, rng: SeededRng) -> LstmCellParams:
-    """Glorot-uniform gate weights; forget bias starts at 1 so early cell
-    state is carried, other biases at 0."""
+    """Glorot-uniform gate weights, drawn gate by gate with the per-gate
+    limit sqrt(6 / (2H + F)); forget bias starts at 1 so early cell state is
+    carried, other biases at 0."""
     w = hidden + input_size
     return LstmCellParams(
-        W_f=_glorot(rng, (hidden, w)),
-        W_i=_glorot(rng, (hidden, w)),
-        W_c=_glorot(rng, (hidden, w)),
-        W_o=_glorot(rng, (hidden, w)),
-        b_f=np.ones(hidden),
-        b_i=np.zeros(hidden),
-        b_c=np.zeros(hidden),
-        b_o=np.zeros(hidden),
+        W=np.concatenate([_glorot(rng, (hidden, w)) for _ in GATE_NAMES]),
+        b=np.concatenate([np.ones(hidden), np.zeros(3 * hidden)]),
     )
-
-
-def lstm_cell_forward(
-    params: LstmCellParams, prev: LstmState, x: np.ndarray
-) -> tuple[LstmState, dict[str, np.ndarray]]:
-    """Single unbatched cell step; returns the new state and the gate values.
-
-    f, i, o are sigmoid gates and c_tilde the tanh candidate, all computed on
-    [h_prev, x]; then c = f*c_prev + i*c_tilde and h = o*tanh(c).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.input_size,):
-        raise ValueError(f"input width {x.shape} does not match cell input {params.input_size}")
-    if prev.h.shape != (params.hidden_size,):
-        raise ValueError(f"state width {prev.h.shape} does not match hidden {params.hidden_size}")
-    z = np.concatenate([prev.h, x])
-    f = sigmoid(params.W_f @ z + params.b_f)
-    i = sigmoid(params.W_i @ z + params.b_i)
-    c_tilde = np.tanh(params.W_c @ z + params.b_c)
-    o = sigmoid(params.W_o @ z + params.b_o)
-    c = f * prev.c + i * c_tilde
-    h = o * np.tanh(c)
-    gates = {"f": f, "i": i, "c_tilde": c_tilde, "o": o}
-    return LstmState(h=h, c=c), gates
 
 
 def _sequence_forward(cell: LstmCellParams, xs: np.ndarray) -> tuple[np.ndarray, dict]:
     """Batched LSTM over xs (B, T, F) from zero initial state.
 
-    Returns hs (B, T, H) and the per-timestep cache needed by
-    _sequence_backward.
+    f, i, o are sigmoid gates and c_tilde the tanh candidate, all computed on
+    z = [h_prev, x] by one product with the stacked W; then
+    c = f*c_prev + i*c_tilde and h = o*tanh(c). Returns hs (B, T, H) and the
+    per-timestep cache needed by _sequence_backward.
     """
     batch, steps, _ = xs.shape
     hidden = cell.hidden_size
     h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
     hs = np.zeros((batch, steps, hidden))
-    cache = {"z": [], "f": [], "i": [], "c_tilde": [], "o": [], "c": [], "c_prev": []}
+    cache = {"z": [], "gates": [], "c": [], "c_prev": []}
     for t in range(steps):
         z = np.concatenate([h, xs[:, t, :]], axis=1)  # (B, H+F)
-        f = sigmoid(z @ cell.W_f.T + cell.b_f)
-        i = sigmoid(z @ cell.W_i.T + cell.b_i)
-        c_tilde = np.tanh(z @ cell.W_c.T + cell.b_c)
-        o = sigmoid(z @ cell.W_o.T + cell.b_o)
+        gates = z @ cell.W.T + cell.b  # (B, 4H) pre-activations
+        f, i, c_tilde, o = np.split(gates, 4, axis=1)  # views into gates
+        for g in (f, i, o):
+            g[...] = sigmoid(g)
+        np.tanh(c_tilde, out=c_tilde)
         cache["c_prev"].append(c)
         c = f * c + i * c_tilde
         h = o * np.tanh(c)
         hs[:, t, :] = h
-        for name, val in (("z", z), ("f", f), ("i", i), ("c_tilde", c_tilde), ("o", o), ("c", c)):
+        for name, val in (("z", z), ("gates", gates), ("c", c)):
             cache[name].append(val)
     return hs, cache
 
@@ -150,7 +109,7 @@ def _sequence_backward(
     dc_next = np.zeros_like(dh_next)
     for t in range(steps - 1, -1, -1):
         z = cache["z"][t]
-        f, i, c_tilde, o = cache["f"][t], cache["i"][t], cache["c_tilde"][t], cache["o"][t]
+        f, i, c_tilde, o = np.split(cache["gates"][t], 4, axis=1)
         c, c_prev = cache["c"][t], cache["c_prev"][t]
         tanh_c = np.tanh(c)
 
@@ -162,22 +121,18 @@ def _sequence_backward(
         dc_tilde = dc * i
         dc_next = dc * f
 
-        # back through the gate nonlinearities to pre-activations
-        dzf = df * f * (1.0 - f)
-        dzi = di * i * (1.0 - i)
-        dzc = dc_tilde * (1.0 - c_tilde * c_tilde)
-        dzo = do * o * (1.0 - o)
+        # back through the gate nonlinearities to pre-activations (B, 4H)
+        da = np.concatenate([
+            df * f * (1.0 - f),
+            di * i * (1.0 - i),
+            dc_tilde * (1.0 - c_tilde * c_tilde),
+            do * o * (1.0 - o),
+        ], axis=1)
 
-        grads["W_f"] += dzf.T @ z
-        grads["W_i"] += dzi.T @ z
-        grads["W_c"] += dzc.T @ z
-        grads["W_o"] += dzo.T @ z
-        grads["b_f"] += dzf.sum(axis=0)
-        grads["b_i"] += dzi.sum(axis=0)
-        grads["b_c"] += dzc.sum(axis=0)
-        grads["b_o"] += dzo.sum(axis=0)
+        grads["W"] += da.T @ z
+        grads["b"] += da.sum(axis=0)
 
-        dz = dzf @ cell.W_f + dzi @ cell.W_i + dzc @ cell.W_c + dzo @ cell.W_o
+        dz = da @ cell.W
         dh_next = dz[:, :hidden]
         dxs[:, t, :] = dz[:, hidden:]
     return grads, dxs
@@ -197,6 +152,8 @@ def bilstm_layer_forward(
         xs = xs[None, :, :]
     if xs.shape[1] == 0:
         raise ValueError("empty sequence")
+    if xs.shape[2] != fwd.input_size:
+        raise ValueError(f"input width {xs.shape[2]} does not match cell input {fwd.input_size}")
     fused, _ = _bilstm_forward(fwd, bwd, xs)
     return fused[0] if single else fused
 

@@ -10,31 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "matmul",
-    "l2_norm",
     "sigmoid",
-    "tanh",
     "finite_difference_gradient",
     "flatten_arrays",
     "unflatten_arrays",
     "SeededRng",
 ]
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D arrays, with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D arrays, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def l2_norm(v: np.ndarray) -> float:
-    """Euclidean norm sqrt(sum v_i^2) of a vector (any shape is flattened)."""
-    return float(np.sqrt(np.sum(np.square(np.asarray(v, dtype=np.float64)))))
 
 
 def sigmoid(x):
@@ -45,12 +26,6 @@ def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return float(out) if out.ndim == 0 else out
-
-
-def tanh(x):
-    """Hyperbolic tangent; numpy's implementation is stable for all finite x."""
-    out = np.tanh(np.asarray(x, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
 
 

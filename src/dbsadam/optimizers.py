@@ -9,7 +9,8 @@ model finds hard get larger steps, easy ones smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,61 +76,86 @@ def _check_shapes(params: Params, grads: Params) -> None:
 
 
 def _denominator(v_hat: np.ndarray, config: OptimizerConfig) -> np.ndarray:
+    """Turn v_hat, in place, into the Adam denominator and return it."""
     if config.eps_inside_sqrt:
-        return np.sqrt(v_hat + config.epsilon)
-    return np.sqrt(v_hat) + config.epsilon
+        v_hat += config.epsilon
+        return np.sqrt(v_hat, out=v_hat)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += config.epsilon
+    return v_hat
 
 
-def _update_moments(grads: Params, state: OptimizerState, config: OptimizerConfig) -> tuple[Params, Params]:
-    """Advance t and the moment EMAs; return bias-corrected (m_hat, v_hat)."""
+def _moments(
+    grads: Params, state: OptimizerState, config: OptimizerConfig
+) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+    """Advance t, then stream the moment EMAs tensor by tensor.
+
+    Each tensor's m and v are updated in place and its bias-corrected
+    (m_hat, v_hat) are yielded in two fresh scratch buffers that the
+    consumer may overwrite, so only one tensor's temporaries are live at a
+    time instead of whole m_hat/v_hat dicts. The arithmetic is the textbook
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), m_hat = m/(1-b1^t),
+    v_hat = v/(1-b2^t), operation for operation, so results are bitwise
+    those of the unstreamed formulas.
+    """
     state.t += 1
     bc1 = 1.0 - config.beta1**state.t
     bc2 = 1.0 - config.beta2**state.t
-    m_hat: Params = {}
-    v_hat: Params = {}
-    for k, g in grads.items():
-        state.m[k] = config.beta1 * state.m[k] + (1.0 - config.beta1) * g
-        state.v[k] = config.beta2 * state.v[k] + (1.0 - config.beta2) * (g * g)
-        m_hat[k] = state.m[k] / bc1
-        v_hat[k] = state.v[k] / bc2
-    return m_hat, v_hat
+
+    def stream():
+        for k, g in grads.items():
+            m, v = state.m[k], state.v[k]
+            m_hat = np.multiply(g, 1.0 - config.beta1)
+            m *= config.beta1
+            m += m_hat
+            v_hat = np.multiply(g, g)
+            v_hat *= 1.0 - config.beta2
+            v *= config.beta2
+            v += v_hat
+            yield k, np.divide(m, bc1, out=m_hat), np.divide(v, bc2, out=v_hat)
+
+    return stream()
 
 
-def adam_step(
-    params: Params,
-    grads: Params,
-    state: OptimizerState,
-    config: OptimizerConfig,
-    lr_override: float | None = None,
+def _adam_update(
+    params: Params, grads: Params, state: OptimizerState, config: OptimizerConfig, lr: float
 ) -> None:
+    """Adam's update at learning rate lr; the caller has checked the inputs."""
+    for k, m_hat, v_hat in _moments(grads, state, config):
+        m_hat *= lr
+        m_hat /= _denominator(v_hat, config)
+        params[k] -= m_hat
+
+
+def adam_step(params: Params, grads: Params, state: OptimizerState, config: OptimizerConfig) -> None:
     """One Adam update: moment EMAs, bias correction, scaled step."""
     _check_shapes(params, grads)
-    lr = config.base_lr if lr_override is None else lr_override
-    m_hat, v_hat = _update_moments(grads, state, config)
-    for k in params:
-        params[k] -= lr * m_hat[k] / _denominator(v_hat[k], config)
+    _adam_update(params, grads, state, config, config.base_lr)
 
 
 def amsgrad_step(params: Params, grads: Params, state: OptimizerState, config: OptimizerConfig) -> None:
     """Adam with a non-increasing effective rate: the denominator uses the
     running max of the bias-corrected second moment."""
     _check_shapes(params, grads)
-    m_hat, v_hat = _update_moments(grads, state, config)
     if state.v_max is None:
         state.v_max = {k: np.zeros_like(v) for k, v in params.items()}
-    for k in params:
-        state.v_max[k] = np.maximum(state.v_max[k], v_hat[k])
-        params[k] -= config.base_lr * m_hat[k] / _denominator(state.v_max[k], config)
+    for k, m_hat, v_hat in _moments(grads, state, config):
+        v_max = np.maximum(state.v_max[k], v_hat, out=state.v_max[k])
+        v_hat[...] = v_max
+        m_hat *= config.base_lr
+        m_hat /= _denominator(v_hat, config)
+        params[k] -= m_hat
 
 
 def adamw_step(params: Params, grads: Params, state: OptimizerState, config: OptimizerConfig) -> None:
     """Adam plus decoupled weight decay: theta -= lr * wd * theta, applied to
     the pre-step parameters outside the moment machinery."""
     _check_shapes(params, grads)
-    m_hat, v_hat = _update_moments(grads, state, config)
-    for k in params:
-        decay = config.base_lr * config.weight_decay * params[k]
-        params[k] -= config.base_lr * m_hat[k] / _denominator(v_hat[k], config) + decay
+    for k, m_hat, v_hat in _moments(grads, state, config):
+        m_hat *= config.base_lr
+        m_hat /= _denominator(v_hat, config)
+        m_hat += config.base_lr * config.weight_decay * params[k]
+        params[k] -= m_hat
 
 
 def adabound_bounds(t: int, config: OptimizerConfig) -> tuple[float, float]:
@@ -145,11 +171,13 @@ def adabound_step(params: Params, grads: Params, state: OptimizerState, config: 
     """Adam-style step with the per-coordinate rate clipped into a band that
     tightens around adabound_final_lr."""
     _check_shapes(params, grads)
-    m_hat, v_hat = _update_moments(grads, state, config)
+    moments = _moments(grads, state, config)
     lower, upper = adabound_bounds(state.t, config)
-    for k in params:
-        rate = np.clip(config.base_lr / _denominator(v_hat[k], config), lower, upper)
-        params[k] -= rate * m_hat[k]
+    for k, m_hat, v_hat in moments:
+        rate = np.divide(config.base_lr, _denominator(v_hat, config), out=v_hat)
+        np.clip(rate, lower, upper, out=rate)
+        rate *= m_hat
+        params[k] -= rate
 
 
 @dataclass
@@ -189,6 +217,10 @@ class DifficultyTracker:
             raise ValueError(f"alpha_mix must lie in [0, 1], got {self.alpha_mix}")
         if self.clip_k <= 0:
             raise ValueError(f"clip_k must be positive, got {self.clip_k}")
+        if not (0.0 <= self.ema_beta < 1.0):
+            raise ValueError(f"ema_beta must lie in [0, 1), got {self.ema_beta}")
+        if self.warmup_batches < 0:
+            raise ValueError(f"warmup_batches must be >= 0, got {self.warmup_batches}")
 
     def difficulty(self, grad_norm: float, batch_loss: float) -> float:
         """Score a batch against the current statistics without updating them."""
@@ -282,7 +314,7 @@ def dbs_adam_step(
     grad_norm = gradient_signal(grads, grad_norm_mode)
     difficulty = observe_batch(tracker, grad_norm, batch_loss)
     lr = scaled_learning_rate(tracker, config.base_lr, difficulty)
-    adam_step(params, grads, state, config, lr_override=lr)
+    _adam_update(params, grads, state, config, lr)
     return lr
 
 

@@ -53,7 +53,16 @@ class TestExitCodes:
         assert main(["train", "--config", str(bad)]) == 1
 
     def test_invalid_value_is_config_error(self, config_file):
-        assert main(["train", "--config", config_file, "--batch_size", "0"]) == 1
+        for flag, value in [
+            ("--batch_size", "0"),
+            ("--hidden1", "abc"),
+            ("--base_lr", "-1"),
+            ("--beta1", "1.5"),
+            ("--sequence_chunks", "0"),
+            ("--ema_beta", "1.5"),
+            ("--warmup_batches", "-3"),
+        ]:
+            assert main(["train", "--config", config_file, flag, value]) == 1, flag
 
     def test_unknown_flag_is_config_error(self):
         assert main(["train", "--definitely-not-a-flag", "1"]) == 1

@@ -58,6 +58,11 @@ class TestConfigValidation:
             {"d_min": 0.9, "d_max": 0.5},
             {"dataset": "data.csv"},
             {"grad_norm_mode": "max"},
+            {"base_lr": -1.0},
+            {"beta1": 1.5},
+            {"sequence_chunks": 0},
+            {"ema_beta": 1.5},
+            {"warmup_batches": -3},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -89,7 +94,7 @@ class TestConfigFile:
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("batch_size = many\n", encoding="utf-8")
-        with pytest.raises((ConfigError, ValueError)):
+        with pytest.raises(ConfigError, match="many"):
             load_config(str(path))
 
     def test_missing_file_rejected(self):

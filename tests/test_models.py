@@ -4,11 +4,11 @@ import pytest
 from dbsadam.losses import LossConfig, loss_gradient, loss_value, one_hot, softmax
 from dbsadam.models import (
     LstmCellParams,
-    LstmState,
     SequenceNetwork,
+    _glorot,
+    _sequence_forward,
     bilstm_layer_forward,
     init_lstm_params,
-    lstm_cell_forward,
     network_backward,
     network_forward,
 )
@@ -16,16 +16,12 @@ from dbsadam.numerics import (
     SeededRng,
     finite_difference_gradient,
     flatten_arrays,
-    sigmoid,
     unflatten_arrays,
 )
 
 
 def zero_cell(hidden, inputs):
-    w = np.zeros((hidden, hidden + inputs))
-    b = np.zeros(hidden)
-    return LstmCellParams(w.copy(), w.copy(), w.copy(), w.copy(),
-                          b.copy(), b.copy(), b.copy(), b.copy())
+    return LstmCellParams(np.zeros((4 * hidden, hidden + inputs)), np.zeros(4 * hidden))
 
 
 def random_cell(hidden, inputs, seed):
@@ -33,62 +29,85 @@ def random_cell(hidden, inputs, seed):
 
 
 def oracle_cell_step(params, h_prev, c_prev, x):
-    # literal transcription of the gate equations, kept independent of the
-    # implementation under test
+    # literal transcription of the gate equations on row blocks of the
+    # stacked weights, kept independent of the implementation under test
+    hidden = h_prev.shape[0]
+    W_f, W_i, W_c, W_o = (params.W[g * hidden:(g + 1) * hidden] for g in range(4))
+    b_f, b_i, b_c, b_o = (params.b[g * hidden:(g + 1) * hidden] for g in range(4))
     z = np.concatenate([h_prev, x])
-    f = 1.0 / (1.0 + np.exp(-(params.W_f @ z + params.b_f)))
-    i = 1.0 / (1.0 + np.exp(-(params.W_i @ z + params.b_i)))
-    c_tilde = np.tanh(params.W_c @ z + params.b_c)
-    o = 1.0 / (1.0 + np.exp(-(params.W_o @ z + params.b_o)))
+    f = 1.0 / (1.0 + np.exp(-(W_f @ z + b_f)))
+    i = 1.0 / (1.0 + np.exp(-(W_i @ z + b_i)))
+    c_tilde = np.tanh(W_c @ z + b_c)
+    o = 1.0 / (1.0 + np.exp(-(W_o @ z + b_o)))
     c = f * c_prev + i * c_tilde
     h = o * np.tanh(c)
     return h, c
 
 
+def oracle_sequence(params, xs):
+    # unrolled oracle from zero state: hidden and cell states per timestep
+    hidden = params.b.shape[0] // 4
+    h, c = np.zeros(hidden), np.zeros(hidden)
+    hs, cs = [], []
+    for x in xs:
+        h, c = oracle_cell_step(params, h, c, x)
+        hs.append(h)
+        cs.append(c)
+    return np.array(hs), np.array(cs)
+
+
+def forward_only(cell, xs):
+    # the batched path as a one-directional LSTM: a zero backward cell
+    # contributes h = 0 at every step, so the fused output is the forward h
+    return bilstm_layer_forward(cell, zero_cell(cell.hidden_size, cell.input_size), xs)
+
+
 class TestLstmCell:
     def test_all_zero_parameters(self):
         cell = zero_cell(3, 2)
-        state, gates = lstm_cell_forward(cell, LstmState(np.zeros(3), np.zeros(3)), np.zeros(2))
-        for g in ("f", "i", "o"):
-            assert np.allclose(gates[g], 0.5)
-        assert np.allclose(gates["c_tilde"], 0.0)
-        assert np.allclose(state.c, 0.0)
-        assert np.allclose(state.h, 0.0)
+        _, cache = _sequence_forward(cell, np.zeros((1, 1, 2)))
+        f, i, c_tilde, o = np.split(cache["gates"][0], 4, axis=1)
+        for g in (f, i, o):
+            assert np.allclose(g, 0.5)
+        assert np.allclose(c_tilde, 0.0)
+        assert np.allclose(cache["c"][0], 0.0)
+        assert np.allclose(forward_only(cell, np.zeros((1, 2))), 0.0)
 
     def test_zero_weights_nonzero_cell_state(self):
+        # zero weights put every sigmoid gate at 0.5, so with candidate
+        # bias b_c the cell state follows c_t = 0.5 c_{t-1} + 0.5 tanh(b_c)
         cell = zero_cell(2, 2)
-        c0 = np.array([0.8, -1.2])
-        state, _ = lstm_cell_forward(cell, LstmState(np.zeros(2), c0), np.zeros(2))
-        assert np.allclose(state.c, 0.5 * c0)
-        assert np.allclose(state.h, 0.5 * np.tanh(0.5 * c0))
+        cell.b[4:6] = [0.8, -1.2]
+        out = forward_only(cell, np.zeros((5, 2)))
+        c = np.zeros(2)
+        for t in range(5):
+            c = 0.5 * c + 0.5 * np.tanh(cell.b[4:6])
+            assert np.allclose(out[t], 0.5 * np.tanh(c), atol=1e-15)
 
     def test_matches_straight_line_oracle(self):
         rng = SeededRng(21)
         for seed in range(5):
             cell = random_cell(3, 4, seed)
-            h_prev = rng.normal(size=3) * 0.5
-            c_prev = rng.normal(size=3) * 0.5
-            x = rng.normal(size=4)
-            state, _ = lstm_cell_forward(cell, LstmState(h_prev, c_prev), x)
-            h_ref, c_ref = oracle_cell_step(cell, h_prev, c_prev, x)
-            assert np.allclose(state.h, h_ref, atol=1e-12)
-            assert np.allclose(state.c, c_ref, atol=1e-12)
+            for steps in range(1, 6):
+                xs = rng.normal(size=(steps, 4))
+                h_ref, _ = oracle_sequence(cell, xs)
+                assert np.allclose(forward_only(cell, xs), h_ref, atol=1e-12)
 
     def test_gate_ranges_and_hidden_bound(self):
-        rng = SeededRng(22)
         cell = random_cell(4, 3, 7)
-        state = LstmState(np.zeros(4), np.zeros(4))
-        for _ in range(20):
-            state, gates = lstm_cell_forward(cell, state, rng.normal(size=3) * 3)
-            for g in ("f", "i", "o"):
-                assert np.all((gates[g] > 0) & (gates[g] < 1))
-            assert np.all(np.abs(state.h) < 1)
-            assert np.all(np.isfinite(state.c))
+        xs = SeededRng(22).normal(size=(1, 20, 3)) * 3
+        hs, cache = _sequence_forward(cell, xs)
+        for gates in cache["gates"]:
+            f, i, _, o = np.split(gates, 4, axis=1)
+            for g in (f, i, o):
+                assert np.all((g > 0) & (g < 1))
+        assert np.all(np.abs(hs) < 1)
+        assert np.all(np.isfinite(cache["c"]))
 
     def test_shape_mismatch_rejected(self):
         cell = zero_cell(3, 2)
-        with pytest.raises(ValueError):
-            lstm_cell_forward(cell, LstmState(np.zeros(3), np.zeros(3)), np.zeros(5))
+        with pytest.raises(ValueError, match="input width"):
+            bilstm_layer_forward(cell, cell, np.zeros((1, 5)))
 
 
 class TestBilstmLayer:
@@ -97,9 +116,9 @@ class TestBilstmLayer:
         bwd = random_cell(3, 2, 2)
         x = SeededRng(3).normal(size=(1, 2))
         out = bilstm_layer_forward(fwd, bwd, x)
-        sf, _ = lstm_cell_forward(fwd, LstmState(np.zeros(3), np.zeros(3)), x[0])
-        sb, _ = lstm_cell_forward(bwd, LstmState(np.zeros(3), np.zeros(3)), x[0])
-        assert np.allclose(out[0], sf.h + sb.h, atol=1e-12)
+        hf, _ = oracle_cell_step(fwd, np.zeros(3), np.zeros(3), x[0])
+        hb, _ = oracle_cell_step(bwd, np.zeros(3), np.zeros(3), x[0])
+        assert np.allclose(out[0], hf + hb, atol=1e-12)
 
     def test_palindrome_symmetry_with_tied_directions(self):
         cell = random_cell(3, 2, 5)
@@ -117,10 +136,18 @@ class TestBilstmLayer:
         fwd = random_cell(3, 2, 8)
         xs = SeededRng(9).normal(size=(5, 2))
         out = bilstm_layer_forward(fwd, zero_cell(3, 2), xs)
-        state = LstmState(np.zeros(3), np.zeros(3))
-        for t in range(5):
-            state, _ = lstm_cell_forward(fwd, state, xs[t])
-            assert np.allclose(out[t], state.h, atol=1e-12)
+        h_ref, _ = oracle_sequence(fwd, xs)
+        assert np.allclose(out, h_ref, atol=1e-12)
+
+    def test_batched_rows_match_single_sequences(self):
+        fwd = random_cell(3, 2, 10)
+        bwd = random_cell(3, 2, 11)
+        xs = SeededRng(12).normal(size=(4, 5, 2))
+        out = bilstm_layer_forward(fwd, bwd, xs)
+        for row in range(4):
+            h_f, _ = oracle_sequence(fwd, xs[row])
+            h_b, _ = oracle_sequence(bwd, xs[row, ::-1])
+            assert np.allclose(out[row], h_f + h_b[::-1], atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -253,8 +280,18 @@ class TestNetworkBackward:
 class TestInitialization:
     def test_forget_bias_starts_at_one(self):
         cell = init_lstm_params(4, 3, SeededRng(9))
-        assert np.all(cell.b_f == 1.0)
-        assert np.all(cell.b_i == 0.0)
+        assert np.all(cell.b[:4] == 1.0)
+        assert np.all(cell.b[4:] == 0.0)
+
+    def test_stacked_rows_are_successive_per_gate_glorot_draws(self):
+        # the stacked layout keeps the per-gate draw order (f, i, c, o) and
+        # the per-gate limit sqrt(6 / (2H + F)) of four separate matrices
+        cell = init_lstm_params(4, 3, SeededRng(9))
+        rng = SeededRng(9)
+        assert cell.W.shape == (16, 7) and cell.b.shape == (16,)
+        for g in range(4):
+            assert np.array_equal(cell.W[4 * g:4 * (g + 1)], _glorot(rng, (4, 7)))
+        assert np.max(np.abs(cell.W)) <= np.sqrt(6.0 / (2 * 4 + 3))
 
     def test_seeded_init_reproducible(self):
         a = tiny_network(11)

@@ -5,80 +5,14 @@ from dbsadam.numerics import (
     SeededRng,
     finite_difference_gradient,
     flatten_arrays,
-    l2_norm,
-    matmul,
     sigmoid,
-    tanh,
     unflatten_arrays,
 )
-
-
-def naive_matmul(a, b):
-    # triple-loop reference, independent of numpy's matmul path
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(a, np.eye(2)), a)
-
-    def test_annihilator(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        z = np.zeros((2, 1))
-        assert np.array_equal(matmul(a, z), z)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        expected = np.array([[17.0], [39.0]])
-        assert np.array_equal(matmul(a, b), expected)
-        assert np.allclose(naive_matmul(a, b), expected)
-
-    def test_random_against_naive(self):
-        rng = SeededRng(11)
-        for _ in range(10):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 3))
-            assert np.allclose(matmul(a, b), naive_matmul(a, b), rtol=1e-12)
-
-    def test_dimension_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associativity_on_random_chains(self):
-        rng = SeededRng(7)
-        for _ in range(20):
-            a = rng.normal(size=(3, 5))
-            b = rng.normal(size=(5, 4))
-            c = rng.normal(size=(4, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.allclose(left, right, rtol=1e-9)
-
-
-class TestL2Norm:
-    def test_zero_vector(self):
-        assert l2_norm(np.zeros(3)) == 0.0
-
-    def test_pythagorean(self):
-        assert l2_norm(np.array([3.0, 4.0])) == 5.0
-
-    def test_ones(self):
-        assert l2_norm(np.ones(4)) == 2.0
 
 
 class TestActivations:
     def test_sigmoid_zero(self):
         assert sigmoid(0.0) == 0.5
-
-    def test_tanh_zero(self):
-        assert tanh(0.0) == 0.0
 
     def test_sigmoid_symmetry(self):
         for x in [0.3, 2.0, 17.5, 300.0]:
@@ -87,9 +21,7 @@ class TestActivations:
     def test_stable_at_large_inputs(self):
         xs = np.array([-700.0, -50.0, 50.0, 700.0])
         s = sigmoid(xs)
-        t = tanh(xs)
         assert np.all(np.isfinite(s)) and np.all((s >= 0) & (s <= 1))
-        assert np.all(np.isfinite(t)) and np.all((t >= -1) & (t <= 1))
 
 
 class TestFiniteDifference:

@@ -64,7 +64,7 @@ class TestAdam:
     def test_lr_override(self):
         params = {"w": np.array([1.0])}
         state = OptimizerState(params)
-        adam_step(params, {"w": np.array([0.1])}, state, OptimizerConfig(), lr_override=0.01)
+        adam_step(params, {"w": np.array([0.1])}, state, OptimizerConfig(base_lr=0.01))
         assert params["w"][0] == pytest.approx(1.0 - 0.01 * (0.1 / (0.1 + 1e-7)), abs=1e-15)
 
     def test_nonfinite_gradient_rejected_with_index(self):
@@ -72,6 +72,22 @@ class TestAdam:
         grads = {"w": np.array([[0.0, 0.0], [np.nan, 0.0]])}
         with pytest.raises(ValueError, match=r"'w' at index \(1, 0\)"):
             adam_step(params, grads, OptimizerState(params), OptimizerConfig())
+        # dbs_adam checks once, before the tracker or any moment buffer moves;
+        # "a" precedes the bad tensor, so a partial update would show there
+        params = {"a": np.ones(3), "w": np.zeros((2, 2))}
+        state = OptimizerState(params)
+        tracker = DifficultyTracker()
+        good = {"a": np.full(3, 0.5), "w": np.full((2, 2), 0.5)}
+        dbs_adam_step(params, good, state, OptimizerConfig(), tracker, 1.0)
+        before = (tracker.batches_seen, state.t,
+                  {k: v.copy() for k, v in state.m.items()},
+                  {k: v.copy() for k, v in state.v.items()})
+        with pytest.raises(ValueError, match=r"'w' at index \(1, 0\)"):
+            dbs_adam_step(params, {"a": np.ones(3), **grads}, state, OptimizerConfig(), tracker, 1.0)
+        assert (tracker.batches_seen, state.t) == before[:2]
+        for k in params:
+            assert np.array_equal(state.m[k], before[2][k])
+            assert np.array_equal(state.v[k], before[3][k])
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.zeros(3)}
