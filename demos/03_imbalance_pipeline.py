@@ -13,7 +13,6 @@ from dbsadam import (
     adasyn_generate,
     class_distribution,
     enn_filter,
-    knn_query,
     smote_enn,
     smote_generate,
 )
@@ -67,5 +66,5 @@ print(f"  {synth.shape[0]} synthetics generated, {near_boundary} land beside the
 
 print("\n== neighbor queries are exact and deterministic ==")
 index = NeighborIndex(data.features)
-idx, dist = knn_query(index, data.features[95], k=3, exclude=95)
+idx, dist = index.query(data.features[95], k=3, exclude=95)
 print(f"  3-NN of rare point 95: rows {idx.tolist()} at distances {np.round(dist, 3).tolist()}")

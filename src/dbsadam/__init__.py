@@ -92,7 +92,6 @@ from .resampling import (
     NeighborIndex,
     adasyn_generate,
     enn_filter,
-    knn_query,
     smote_enn,
     smote_generate,
 )

@@ -168,6 +168,9 @@ class ExperimentConfig:
             raise ConfigError(f"sweep_seeds must be >= 1, got {self.sweep_seeds}")
         if self.sequence_chunks < 1:
             raise ConfigError(f"sequence_chunks must be >= 1, got {self.sequence_chunks}")
+        for name in ("smote_k", "enn_k", "adasyn_k"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         try:
             _from_shared_fields(OptimizerConfig, self)
             _from_shared_fields(DifficultyTracker, self)
@@ -305,22 +308,10 @@ def _resample_training(config: ExperimentConfig, train_ds: LabeledDataset, rng: 
         from .resampling import smote_enn
 
         return smote_enn(train_ds, config.smote_k, config.enn_k, rng)
-    from .resampling import adasyn_generate
+    from .resampling import _oversample, adasyn_generate
 
-    counts = np.bincount(train_ds.labels, minlength=train_ds.n_classes)
-    majority = int(counts.max())
-    blocks_x = [train_ds.features]
-    blocks_y = [train_ds.labels]
-    for c in range(train_ds.n_classes):
-        deficit = majority - int(counts[c])
-        if deficit <= 0:
-            continue
-        synth = adasyn_generate(train_ds, c, deficit, config.adasyn_k, rng.child(c))
-        if synth.shape[0]:
-            blocks_x.append(synth)
-            blocks_y.append(np.full(synth.shape[0], c, dtype=np.int64))
-    return LabeledDataset(
-        np.concatenate(blocks_x, axis=0), np.concatenate(blocks_y), list(train_ds.class_names)
+    return _oversample(
+        train_ds, lambda c, deficit: adasyn_generate(train_ds, c, deficit, config.adasyn_k, rng.child(c))
     )
 
 

@@ -1,8 +1,9 @@
 """Data-level class rebalancing: SMOTE, ENN cleaning, SMOTE-ENN, and ADASYN.
 
-Neighbor search is exact brute force under Euclidean distance, chunked so
-pairwise distances never materialize a full N x N matrix for large N. Ties
-resolve to the lower row index and a point is never its own neighbor.
+Neighbor search is exact brute force under Euclidean distance, in blocks of
+query rows sized so one block's distances fit a fixed byte budget; a full
+N x N matrix never materializes. Ties resolve to the lower row index and a
+point is never its own neighbor.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 from .data import LabeledDataset
 from .numerics import SeededRng
 
-_CHUNK = 512
+# bytes of float64 distances in one block of query rows
+_BLOCK_BYTES = 4 << 20
 
 
 class NeighborIndex:
@@ -25,10 +27,6 @@ class NeighborIndex:
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got {self.features.shape}")
 
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
     def query(
         self, point: np.ndarray, k: int, exclude: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -37,36 +35,59 @@ class NeighborIndex:
         Returns (indices, distances) sorted by non-decreasing distance with
         ties broken by lower row index.
         """
-        available = self.n - (1 if exclude is not None else 0)
+        available = self.features.shape[0] - (1 if exclude is not None else 0)
         if k < 1 or k > available:
             raise ValueError(f"k={k} out of range for {available} candidate rows")
         diff = self.features - np.asarray(point, dtype=np.float64)
         dist = np.sqrt(np.sum(diff * diff, axis=1))
         if exclude is not None:
             dist[exclude] = np.inf
-        order = np.argsort(dist, kind="stable")[:k]
+        order = _k_smallest(dist[None, :], k)[0]
         return order, dist[order]
 
 
-def knn_query(
-    index: NeighborIndex, point: np.ndarray, k: int, exclude: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Functional wrapper over NeighborIndex.query."""
-    return index.query(point, k, exclude=exclude)
+def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
+    """Column indices (R, k) of each row's k smallest values, ordered by value
+    with ties to the lower index: np.argsort(d, axis=1, kind="stable")[:, :k].
+
+    argpartition picks k columns, which are sorted by index and then stably
+    by value. The picks are the only possible answer unless more than k
+    values of the row lie at or below its k-th value; such a row falls back
+    to a stable sort of the whole row.
+    """
+    picks = np.sort(np.argpartition(d, k - 1, axis=1)[:, :k], axis=1)
+    values = np.take_along_axis(d, picks, axis=1)
+    out = np.take_along_axis(picks, np.argsort(values, axis=1, kind="stable"), axis=1)
+    tied = np.count_nonzero(d <= values.max(axis=1)[:, None], axis=1) > k
+    for i in np.flatnonzero(tied):
+        out[i] = np.argsort(d[i], kind="stable")[:k]
+    return out
 
 
-def _neighbor_table(features: np.ndarray, k: int) -> np.ndarray:
-    """Indices (N, k) of each row's k nearest other rows, computed in chunks."""
+def _neighbor_table(features: np.ndarray, k: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """Indices (len(rows), k) of the k nearest other rows of each listed row
+    (of every row when rows is None), in blocks of at most _BLOCK_BYTES of
+    distances."""
     n = features.shape[0]
+    if k < 1 or k > n - 1:
+        raise ValueError(f"k={k} out of range for {n} rows")
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     sq = np.sum(features * features, axis=1)
-    out = np.zeros((n, k), dtype=np.int64)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        block = features[start:stop]
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (block @ features.T)
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    d2 = np.empty((min(step, rows.size), n))
+    prod = np.empty_like(d2)
+    out = np.empty((rows.size, k), dtype=np.int64)
+    for start in range(0, rows.size, step):
+        block = rows[start:start + step]
+        d, p = d2[: block.size], prod[: block.size]
+        # sq_i + sq_j - 2 x_i.x_j, in this order: it fixes the result bits
+        np.add(sq[block, None], sq, out=d)
+        np.matmul(features[block], features.T, out=p)
+        p *= 2.0
+        d -= p
+        np.maximum(d, 0.0, out=d)
+        d[np.arange(block.size), block] = np.inf
+        out[start:start + block.size] = _k_smallest(d, k)
     return out
 
 
@@ -116,19 +137,12 @@ def enn_filter(data: LabeledDataset, k: int = 3) -> tuple[LabeledDataset, np.nda
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if data.n_samples <= k:
-        raise ValueError(f"need more than k={k} samples, have {data.n_samples}")
-    neighbors = _neighbor_table(data.features, k)
-    neighbor_labels = data.labels[neighbors]  # (N, k)
-    keep = np.zeros(data.n_samples, dtype=bool)
-    for c in range(data.n_classes):
-        own = (neighbor_labels == c).sum(axis=1)
-        rival_best = np.zeros(data.n_samples, dtype=np.int64)
-        for other in range(data.n_classes):
-            if other == c:
-                continue
-            rival_best = np.maximum(rival_best, (neighbor_labels == other).sum(axis=1))
-        keep |= (data.labels == c) & (own > rival_best)
+    neighbor_labels = data.labels[_neighbor_table(data.features, k)]  # (N, k)
+    votes = (neighbor_labels[:, :, None] == np.arange(data.n_classes)).sum(axis=1)  # (N, C)
+    rows = np.arange(data.n_samples)
+    own = votes[rows, data.labels].copy()
+    votes[rows, data.labels] = -1
+    keep = own > votes.max(axis=1)
     removed = np.flatnonzero(~keep)
     return data.subset(np.flatnonzero(keep)), removed
 
@@ -148,29 +162,31 @@ def smote_enn(
     if rng is None:
         rng = SeededRng(0)
     counts = np.bincount(data.labels, minlength=data.n_classes)
-    majority = int(counts.max())
-    feature_blocks = [data.features]
-    label_blocks = [data.labels]
-    for c in range(data.n_classes):
-        deficit = majority - int(counts[c])
-        if deficit <= 0:
-            continue
+
+    def synthesize(c: int, deficit: int) -> np.ndarray:
         if counts[c] < 2:
             raise ValueError(
                 f"class {c} has {int(counts[c])} samples, need at least 2 "
                 f"(counts: {counts.tolist()})"
             )
-        k = min(smote_k, int(counts[c]) - 1)
-        synth = smote_generate(data, c, deficit, k, rng.child(c))
-        feature_blocks.append(synth)
-        label_blocks.append(np.full(deficit, c, dtype=np.int64))
-    merged = LabeledDataset(
-        np.concatenate(feature_blocks, axis=0),
-        np.concatenate(label_blocks),
-        list(data.class_names),
-    )
-    cleaned, _ = enn_filter(merged, enn_k)
+        return smote_generate(data, c, deficit, min(smote_k, int(counts[c]) - 1), rng.child(c))
+
+    cleaned, _ = enn_filter(_oversample(data, synthesize), enn_k)
     return cleaned
+
+
+def _oversample(data: LabeledDataset, generate) -> LabeledDataset:
+    """data followed by the rows generate(c, deficit) returns for every class
+    c short of the majority count by deficit rows, grouped by class id."""
+    counts = np.bincount(data.labels, minlength=data.n_classes)
+    feature_blocks, label_blocks = [data.features], [data.labels]
+    for c in np.flatnonzero(counts < counts.max()):
+        synth = generate(int(c), int(counts.max() - counts[c]))
+        feature_blocks.append(synth)
+        label_blocks.append(np.full(synth.shape[0], c, dtype=np.int64))
+    return LabeledDataset(
+        np.concatenate(feature_blocks, axis=0), np.concatenate(label_blocks), list(data.class_names)
+    )
 
 
 def adasyn_generate(
@@ -199,12 +215,8 @@ def adasyn_generate(
     counts = np.bincount(data.labels, minlength=data.n_classes)
     majority_class = int(np.argmax(counts))
 
-    index = NeighborIndex(data.features)
-    k_all = min(k, data.n_samples - 1)
-    r = np.zeros(m)
-    for j, i in enumerate(members):
-        nn, _ = index.query(data.features[i], k_all, exclude=int(i))
-        r[j] = np.mean(data.labels[nn] == majority_class)
+    nn = _neighbor_table(data.features, min(k, data.n_samples - 1), members)
+    r = np.mean(data.labels[nn] == majority_class, axis=1)
     r_sum = r.sum()
     if r_sum == 0.0:
         warnings.warn(
@@ -218,7 +230,7 @@ def adasyn_generate(
     class_feats = data.features[members]
     k_syn = min(k, m - 1)
     neighbors = _neighbor_table(class_feats, k_syn)
-    rows = []
+    rows = [np.zeros((0, data.n_features))]
     for j in range(m):
         g = int(per_sample[j])
         if g == 0:
@@ -228,6 +240,4 @@ def adasyn_generate(
         x_i = class_feats[j]
         x_nn = class_feats[neighbors[j, slot]]
         rows.append(x_i + lam[:, None] * (x_nn - x_i))
-    if not rows:
-        return np.zeros((0, data.n_features))
     return np.concatenate(rows, axis=0)

@@ -53,7 +53,7 @@ class TestExitCodes:
         assert main(["train", "--config", str(bad)]) == 1
 
     def test_invalid_value_is_config_error(self, config_file):
-        for flag, value in [
+        for flags in [
             ("--batch_size", "0"),
             ("--hidden1", "abc"),
             ("--base_lr", "-1"),
@@ -61,8 +61,12 @@ class TestExitCodes:
             ("--sequence_chunks", "0"),
             ("--ema_beta", "1.5"),
             ("--warmup_batches", "-3"),
+            ("--smote_k", "0", "--resampler", "smote_enn"),
+            ("--smote_k", "-2", "--resampler", "smote_enn"),
+            ("--enn_k", "0", "--resampler", "smote_enn"),
+            ("--adasyn_k", "0", "--resampler", "adasyn"),
         ]:
-            assert main(["train", "--config", config_file, flag, value]) == 1, flag
+            assert main(["train", "--config", config_file, *flags]) == 1, flags
 
     def test_unknown_flag_is_config_error(self):
         assert main(["train", "--definitely-not-a-flag", "1"]) == 1

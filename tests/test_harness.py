@@ -63,6 +63,9 @@ class TestConfigValidation:
             {"sequence_chunks": 0},
             {"ema_beta": 1.5},
             {"warmup_batches": -3},
+            {"smote_k": 0},
+            {"enn_k": 0},
+            {"adasyn_k": 0},
         ],
     )
     def test_invalid_rejected(self, overrides):

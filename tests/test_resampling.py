@@ -1,13 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dbsadam import resampling
 from dbsadam.data import LabeledDataset, class_distribution
 from dbsadam.numerics import SeededRng
 from dbsadam.resampling import (
     NeighborIndex,
+    _neighbor_table,
     adasyn_generate,
     enn_filter,
-    knn_query,
     smote_enn,
     smote_generate,
 )
@@ -44,18 +49,18 @@ class TestKnnQuery:
     def test_duplicate_of_query_is_first_neighbor(self):
         feats = np.array([[0.0, 0.0], [5.0, 5.0], [1.0, 1.0], [1.0, 1.0]])
         index = NeighborIndex(feats)
-        idx, dist = knn_query(index, np.array([1.0, 1.0]), 1, exclude=2)
+        idx, dist = index.query(np.array([1.0, 1.0]), 1, exclude=2)
         assert idx[0] == 3 and dist[0] == 0.0
 
     def test_collinear_ordering(self):
         feats = np.array([[0.0], [1.0], [2.0], [3.0]])
-        idx, dist = knn_query(NeighborIndex(feats), feats[0], 2, exclude=0)
+        idx, dist = NeighborIndex(feats).query(feats[0], 2, exclude=0)
         assert idx.tolist() == [1, 2]
         assert dist.tolist() == [1.0, 2.0]
 
     def test_ties_break_to_lower_index(self):
         feats = np.array([[1.0], [-1.0], [1.0]])
-        idx, _ = knn_query(NeighborIndex(feats), np.array([0.0]), 3)
+        idx, _ = NeighborIndex(feats).query(np.array([0.0]), 3)
         assert idx.tolist() == [0, 1, 2]
 
     def test_matches_sort_all_distances_oracle(self):
@@ -63,7 +68,7 @@ class TestKnnQuery:
         feats = rng.normal(size=(50, 4))
         index = NeighborIndex(feats)
         for q in range(10):
-            idx, dist = knn_query(index, feats[q], 8, exclude=q)
+            idx, dist = index.query(feats[q], 8, exclude=q)
             full = np.sqrt(((feats - feats[q]) ** 2).sum(axis=1))
             full[q] = np.inf
             expected = np.argsort(full, kind="stable")[:8]
@@ -73,9 +78,68 @@ class TestKnnQuery:
     def test_k_out_of_range(self):
         index = NeighborIndex(np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            knn_query(index, np.zeros(2), 3, exclude=0)
+            index.query(np.zeros(2), 3, exclude=0)
         with pytest.raises(ValueError):
-            knn_query(index, np.zeros(2), 0)
+            index.query(np.zeros(2), 0)
+
+
+@st.composite
+def grid_table_case(draw):
+    """Integer-grid rows drawn from a small pool, so rows repeat and many
+    distances tie; squared distances of small integers are exact in float64
+    under both the expanded and the difference form."""
+    n = draw(st.integers(2, 30))
+    width = draw(st.integers(1, 3))
+    pool = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=width, max_size=width), min_size=1, max_size=n
+    ))
+    pick = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    features = np.array(pool, dtype=np.float64)[pick]
+    k = draw(st.integers(1, n - 1))
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    return features, k, np.array(rows, dtype=np.int64)
+
+
+def brute_force_table(features, k, rows):
+    d2 = ((features[rows, None, :] - features[None, :, :]) ** 2).sum(axis=2)
+    d2[np.arange(rows.size), rows] = np.inf
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+class TestNeighborTable:
+    @settings(max_examples=60, deadline=None)
+    @given(case=grid_table_case())
+    def test_full_table_matches_stable_argsort(self, case):
+        features, k, _ = case
+        expected = brute_force_table(features, k, np.arange(features.shape[0]))
+        assert _neighbor_table(features, k).tolist() == expected.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=grid_table_case())
+    def test_row_subset_matches_stable_argsort(self, case):
+        features, k, rows = case
+        got = _neighbor_table(features, k, rows)
+        assert got.shape == (rows.size, k)
+        assert got.tolist() == brute_force_table(features, k, rows).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=grid_table_case(), rows_per_block=st.integers(0, 3))
+    def test_small_blocks_match_stable_argsort(self, case, rows_per_block):
+        # a budget of 0 to 3 rows of distances: every block boundary is crossed
+        features, k, rows = case
+        budget = rows_per_block * 8 * features.shape[0]
+        with mock.patch.object(resampling, "_BLOCK_BYTES", budget):
+            full = _neighbor_table(features, k)
+            subset = _neighbor_table(features, k, rows)
+        all_rows = np.arange(features.shape[0])
+        assert full.tolist() == brute_force_table(features, k, all_rows).tolist()
+        assert subset.tolist() == brute_force_table(features, k, rows).tolist()
+
+    def test_k_out_of_range(self):
+        features = np.zeros((4, 2))
+        for k in (0, -1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                _neighbor_table(features, k)
 
 
 class TestSmote:
@@ -260,6 +324,37 @@ class TestAdasyn:
         g = np.floor(shares * 30 + 0.5)
         order = np.argsort(r)
         assert np.all(np.diff(g[order]) >= 0)
+
+    def test_matches_per_member_query_reference(self):
+        # the per-member loop over NeighborIndex.query, with exact distances,
+        # that the batched neighbor table replaced
+        def reference(data, target_class, total, k, rng):
+            members = np.flatnonzero(data.labels == target_class)
+            majority_class = int(np.argmax(np.bincount(data.labels)))
+            index = NeighborIndex(data.features)
+            r = np.array([
+                np.mean(data.labels[index.query(data.features[i], k, exclude=int(i))[0]] == majority_class)
+                for i in members
+            ])
+            per_sample = np.floor(r / r.sum() * total + 0.5).astype(np.int64)
+            class_feats = data.features[members]
+            class_index = NeighborIndex(class_feats)
+            rows = []
+            for j in range(members.size):
+                if per_sample[j] == 0:
+                    continue
+                nn, _ = class_index.query(class_feats[j], k, exclude=j)
+                slot = rng.integers(0, k, size=int(per_sample[j]))
+                lam = rng.uniform(size=int(per_sample[j]))
+                rows.append(class_feats[j] + lam[:, None] * (class_feats[nn[slot]] - class_feats[j]))
+            return np.concatenate(rows, axis=0)
+
+        data = self.planted()
+        for k, total in ((5, 40), (3, 25), (1, 7)):
+            got = adasyn_generate(data, 1, total, k, SeededRng(k))
+            expected = reference(data, 1, total, k, SeededRng(k))
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
     def test_isolated_minority_warns_and_returns_nothing(self):
         rng = SeededRng(14)
