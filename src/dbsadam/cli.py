@@ -23,13 +23,11 @@ from .harness import (
     compare_optimizers,
     emit_report,
     load_config,
-    prepare_split,
+    prepare_training,
     report_from_json,
     sensitivity_sweep,
     train,
-    _resample_training,
 )
-from .numerics import SeededRng
 
 _ALIASES = {"beta": "ema_beta", "alpha": "alpha_mix", "seed": "seeds",
             "betas": "beta_grid", "alphas": "alpha_grid"}
@@ -128,9 +126,8 @@ def _cmd_sweep(config: ExperimentConfig) -> int:
 
 def _cmd_resample(config: ExperimentConfig) -> int:
     seed = config.seeds[0]
-    train_ds, _ = prepare_split(config, seed)
+    train_ds, resampled, _, _ = prepare_training(config, seed)
     before_counts, before_pct = class_distribution(train_ds)
-    resampled = _resample_training(config, train_ds, SeededRng(seed).child(2))
     after_counts, after_pct = class_distribution(resampled)
     print(f"resampler={config.resampler} seed={seed}")
     for c, name in enumerate(train_ds.class_names):

@@ -315,6 +315,26 @@ def _resample_training(config: ExperimentConfig, train_ds: LabeledDataset, rng: 
     )
 
 
+def prepare_training(
+    config: ExperimentConfig, seed: int
+) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset, LabeledDataset]:
+    """The data of one run: the stratified train/test split, the validation
+    carve-out from the training portion, then resampling of what is left.
+
+    Returns (training rows before resampling, the resampled training set,
+    validation set, test set); train() fits the second and the resample
+    command writes it.
+    """
+    train_full, test_ds = prepare_split(config, seed)
+    root = SeededRng(seed)
+    keep_idx, val_idx = split_indices(
+        train_full.labels, config.validation_fraction, root.child(_STREAM_VAL)
+    )
+    fit_ds = train_full.subset(keep_idx)
+    resampled = _resample_training(config, fit_ds, root.child(_STREAM_RESAMPLE))
+    return fit_ds, resampled, train_full.subset(val_idx), test_ds
+
+
 def _make_loss_config(config: ExperimentConfig, train_labels: np.ndarray, n_classes: int) -> LossConfig:
     if config.loss == "weighted_cross_entropy":
         counts = np.bincount(train_labels, minlength=n_classes)
@@ -339,15 +359,8 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
     restore the best-validation weights, evaluate on the untouched test set."""
     config.validate()
     started = time.perf_counter()
-    train_full, test_ds = prepare_split(config, seed)
+    _, train_ds, val_ds, test_ds = prepare_training(config, seed)
     root = SeededRng(seed)
-
-    keep_idx, val_idx = split_indices(
-        train_full.labels, config.validation_fraction, root.child(_STREAM_VAL)
-    )
-    train_ds = train_full.subset(keep_idx)
-    val_ds = train_full.subset(val_idx)
-    train_ds = _resample_training(config, train_ds, root.child(_STREAM_RESAMPLE))
 
     n_classes = train_ds.n_classes
     x_train = to_sequences(train_ds.features, config.sequence_chunks)

@@ -62,58 +62,69 @@ def init_lstm_params(hidden: int, input_size: int, rng: SeededRng) -> LstmCellPa
     )
 
 
+def _gate_blocks(a: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
+    """Views of the f, i, c, o blocks along the last axis of a (..., 4H)."""
+    return tuple(a[..., g * hidden : (g + 1) * hidden] for g in range(4))
+
+
 def _sequence_forward(cell: LstmCellParams, xs: np.ndarray) -> tuple[np.ndarray, dict]:
     """Batched LSTM over xs (B, T, F) from zero initial state.
 
     f, i, o are sigmoid gates and c_tilde the tanh candidate, all computed on
-    z = [h_prev, x] by one product with the stacked W; then
-    c = f*c_prev + i*c_tilde and h = o*tanh(c). Returns hs (B, T, H) and the
-    per-timestep cache needed by _sequence_backward.
+    z = [h_prev, x] with the stacked W; then c = f*c_prev + i*c_tilde and
+    h = o*tanh(c). The input half of every step's product is hoisted out of
+    the recurrence as one (B*T, F) @ W[:, H:].T product (Appleyard, Kocisky
+    & Blunsom 2016, arXiv:1604.01946); the recurrent half h_prev @ W[:, :H].T
+    is added from t = 1 on, since h_0 = 0. Returns hs (B, T, H) and the
+    cache for _sequence_backward: the inputs, the activated gates (B, T, 4H)
+    and the cell states (B, T, H).
     """
-    batch, steps, _ = xs.shape
+    batch, steps, n_in = xs.shape
     hidden = cell.hidden_size
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    hs = np.zeros((batch, steps, hidden))
-    cache = {"z": [], "gates": [], "c": [], "c_prev": []}
+    gates = xs.reshape(batch * steps, n_in) @ cell.W[:, hidden:].T
+    gates += cell.b
+    gates = gates.reshape(batch, steps, 4 * hidden)  # pre-activations
+    w_h = cell.W[:, :hidden]
+    hs = np.empty((batch, steps, hidden))
+    cs = np.empty((batch, steps, hidden))
     for t in range(steps):
-        z = np.concatenate([h, xs[:, t, :]], axis=1)  # (B, H+F)
-        gates = z @ cell.W.T + cell.b  # (B, 4H) pre-activations
-        f, i, c_tilde, o = np.split(gates, 4, axis=1)  # views into gates
-        for g in (f, i, o):
-            g[...] = sigmoid(g)
+        a = gates[:, t]
+        if t:
+            a += hs[:, t - 1] @ w_h.T
+        a[:, : 2 * hidden] = sigmoid(a[:, : 2 * hidden])  # f, i
+        a[:, 3 * hidden :] = sigmoid(a[:, 3 * hidden :])  # o
+        f, i, c_tilde, o = _gate_blocks(a, hidden)  # views into gates
         np.tanh(c_tilde, out=c_tilde)
-        cache["c_prev"].append(c)
-        c = f * c + i * c_tilde
-        h = o * np.tanh(c)
-        hs[:, t, :] = h
-        for name, val in (("z", z), ("gates", gates), ("c", c)):
-            cache[name].append(val)
-    return hs, cache
+        c = f * cs[:, t - 1] + i * c_tilde if t else i * c_tilde
+        cs[:, t] = c
+        hs[:, t] = o * np.tanh(c)
+    return hs, {"xs": xs, "gates": gates, "c": cs, "h": hs}
 
 
 def _sequence_backward(
-    cell: LstmCellParams, cache: dict, d_hs: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    cell: LstmCellParams, cache: dict, d_hs: np.ndarray, need_dx: bool = True
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """BPTT through one direction given upstream d_hs (B, T, H).
 
-    Returns gate-parameter gradients and the gradient w.r.t. the inputs
-    (B, T, F).
+    The recurrence only carries the pre-activation gradients da (B, T, 4H)
+    back through h; the input block of dW, db and the input gradient are
+    then one product each over all steps. The recurrent block of dW sums
+    da_t^T h_{t-1} over t >= 1, so it is exactly zero at T = 1. Returns the
+    gate-parameter gradients and the gradient w.r.t. the inputs (B, T, F),
+    or None for it when need_dx is False.
     """
-    steps = d_hs.shape[1]
-    hidden = cell.hidden_size
-    input_size = cell.input_size
-    grads = {name: np.zeros_like(arr) for name, arr in cell.tensors().items()}
-    dxs = np.zeros((d_hs.shape[0], steps, input_size))
-    dh_next = np.zeros((d_hs.shape[0], hidden))
-    dc_next = np.zeros_like(dh_next)
+    batch, steps, hidden = d_hs.shape
+    xs, gates, cs, hs = cache["xs"], cache["gates"], cache["c"], cache["h"]
+    w_h = cell.W[:, :hidden]
+    tanh_cs = np.tanh(cs)
+    da = np.empty_like(gates)
+    dh_next = dc_next = 0.0
     for t in range(steps - 1, -1, -1):
-        z = cache["z"][t]
-        f, i, c_tilde, o = np.split(cache["gates"][t], 4, axis=1)
-        c, c_prev = cache["c"][t], cache["c_prev"][t]
-        tanh_c = np.tanh(c)
+        f, i, c_tilde, o = _gate_blocks(gates[:, t], hidden)
+        c_prev = cs[:, t - 1] if t else 0.0
+        tanh_c = tanh_cs[:, t]
 
-        dh = d_hs[:, t, :] + dh_next
+        dh = d_hs[:, t] + dh_next
         do = dh * tanh_c
         dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
         df = dc * c_prev
@@ -122,20 +133,26 @@ def _sequence_backward(
         dc_next = dc * f
 
         # back through the gate nonlinearities to pre-activations (B, 4H)
-        da = np.concatenate([
-            df * f * (1.0 - f),
-            di * i * (1.0 - i),
-            dc_tilde * (1.0 - c_tilde * c_tilde),
-            do * o * (1.0 - o),
-        ], axis=1)
+        da_f, da_i, da_c, da_o = _gate_blocks(da[:, t], hidden)
+        np.multiply(df * f, 1.0 - f, out=da_f)
+        np.multiply(di * i, 1.0 - i, out=da_i)
+        np.multiply(dc_tilde, 1.0 - c_tilde * c_tilde, out=da_c)
+        np.multiply(do * o, 1.0 - o, out=da_o)
+        if t:
+            dh_next = da[:, t] @ w_h
 
-        grads["W"] += da.T @ z
-        grads["b"] += da.sum(axis=0)
-
-        dz = da @ cell.W
-        dh_next = dz[:, :hidden]
-        dxs[:, t, :] = dz[:, hidden:]
-    return grads, dxs
+    n_in = xs.shape[2]
+    da_flat = da.reshape(batch * steps, 4 * hidden)
+    dW = np.empty_like(cell.W)
+    # products straight into dW's column blocks: no block-sized temporaries
+    np.matmul(da_flat.T, xs.reshape(batch * steps, n_in), out=dW[:, hidden:])
+    np.matmul(
+        da[:, 1:].reshape(-1, 4 * hidden).T, hs[:, :-1].reshape(-1, hidden), out=dW[:, :hidden]
+    )
+    grads = {"W": dW, "b": da_flat.sum(axis=0)}
+    if not need_dx:
+        return grads, None
+    return grads, (da_flat @ cell.W[:, hidden:]).reshape(batch, steps, n_in)
 
 
 def bilstm_layer_forward(
@@ -168,12 +185,12 @@ def _bilstm_forward(
 
 
 def _bilstm_backward(
-    fwd: LstmCellParams, bwd: LstmCellParams, cache: dict, d_fused: np.ndarray
-) -> tuple[dict, dict, np.ndarray]:
+    fwd: LstmCellParams, bwd: LstmCellParams, cache: dict, d_fused: np.ndarray, need_dx: bool = True
+) -> tuple[dict, dict, np.ndarray | None]:
     # additive fusion sends the upstream gradient to both directions intact
-    grads_f, dx_f = _sequence_backward(fwd, cache["f"], d_fused)
-    grads_b, dx_b_rev = _sequence_backward(bwd, cache["b"], d_fused[:, ::-1, :].copy())
-    dxs = dx_f + dx_b_rev[:, ::-1, :]
+    grads_f, dx_f = _sequence_backward(fwd, cache["f"], d_fused, need_dx)
+    grads_b, dx_b_rev = _sequence_backward(bwd, cache["b"], d_fused[:, ::-1, :].copy(), need_dx)
+    dxs = dx_f + dx_b_rev[:, ::-1, :] if need_dx else None
     return grads_f, grads_b, dxs
 
 
@@ -326,7 +343,8 @@ def network_backward(net: SequenceNetwork, cache: dict, d_logits: np.ndarray) ->
     g2f, g2b, d_seq1 = _bilstm_backward(net.l2f, net.l2b, cache["cache2"], d_fused2)
 
     d_fused1 = d_seq1 * cache["mask1"] if cache["mask1"] is not None else d_seq1
-    g1f, g1b, _ = _bilstm_backward(net.l1f, net.l1b, cache["cache1"], d_fused1)
+    # the network input needs no gradient, so layer 1 skips its da @ W
+    g1f, g1b, _ = _bilstm_backward(net.l1f, net.l1b, cache["cache1"], d_fused1, need_dx=False)
 
     for prefix, cell_grads in (("l1f", g1f), ("l1b", g1b), ("l2f", g2f), ("l2b", g2b)):
         for name, arr in cell_grads.items():

@@ -9,6 +9,7 @@ model finds hard get larger steps, easy ones smaller.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -47,11 +48,19 @@ class OptimizerConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
+# Elements per block of the moment pass: 32K float64 = 256 KiB, so the
+# block's parameter, gradient, m and v slices and the two scratch buffers
+# (1.5 MiB) stay in a 2 MiB L2 cache across the pass's operations.
+_BLOCK_ELEMENTS = 32 * 1024
+
+
 class OptimizerState:
     """Per-parameter moment buffers and the step counter.
 
     v_max is allocated lazily on the first amsgrad step and holds the running
-    elementwise maximum of the bias-corrected second moment.
+    elementwise maximum of the bias-corrected second moment. scratch holds
+    the two block-sized buffers the moment pass computes m_hat and v_hat in;
+    its length fixes the pass's block size.
     """
 
     def __init__(self, params: Params):
@@ -59,20 +68,39 @@ class OptimizerState:
         self.v: Params = {k: np.zeros_like(v) for k, v in params.items()}
         self.v_max: Params | None = None
         self.t: int = 0
+        self.scratch = (np.empty(_BLOCK_ELEMENTS), np.empty(_BLOCK_ELEMENTS))
 
 
-def _check_shapes(params: Params, grads: Params) -> None:
+def _squared_norm(g: np.ndarray) -> float:
+    flat = g.reshape(-1)
+    return float(np.dot(flat, flat))
+
+
+def _check_shapes(params: Params, grads: Params) -> list[float]:
+    """Validate grads against params and return each gradient's squared L2
+    norm, in grads order.
+
+    A NaN or inf entry makes its tensor's squared norm non-finite, so the
+    elementwise search for the bad index runs only then; a finite tensor
+    whose squared norm overflows passes.
+    """
     if params.keys() != grads.keys():
         missing = sorted(set(params) ^ set(grads))
         raise ValueError(f"params/grads key mismatch: {missing}")
-    for k in params:
-        if params[k].shape != grads[k].shape:
+    norms = []
+    for k, g in grads.items():
+        if params[k].shape != g.shape:
             raise ValueError(
-                f"shape mismatch for {k!r}: params {params[k].shape}, grads {grads[k].shape}"
+                f"shape mismatch for {k!r}: params {params[k].shape}, grads {g.shape}"
             )
-        if not np.all(np.isfinite(grads[k])):
-            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(grads[k]))[0])
+        if not params[k].flags.c_contiguous:
+            raise ValueError(f"parameter {k!r} must be C-contiguous to be updated in place")
+        sq = _squared_norm(g)
+        if not math.isfinite(sq) and not np.all(np.isfinite(g)):
+            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(g))[0])
             raise ValueError(f"non-finite gradient in {k!r} at index {bad}")
+        norms.append(sq)
+    return norms
 
 
 def _denominator(v_hat: np.ndarray, config: OptimizerConfig) -> np.ndarray:
@@ -86,33 +114,40 @@ def _denominator(v_hat: np.ndarray, config: OptimizerConfig) -> np.ndarray:
 
 
 def _moments(
-    grads: Params, state: OptimizerState, config: OptimizerConfig
-) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-    """Advance t, then stream the moment EMAs tensor by tensor.
+    params: Params, grads: Params, state: OptimizerState, config: OptimizerConfig
+) -> Iterator[tuple[str, slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Advance t, then stream the moment EMAs block by block.
 
-    Each tensor's m and v are updated in place and its bias-corrected
-    (m_hat, v_hat) are yielded in two fresh scratch buffers that the
-    consumer may overwrite, so only one tensor's temporaries are live at a
-    time instead of whole m_hat/v_hat dicts. The arithmetic is the textbook
+    Each tensor is walked flat in blocks of len(state.scratch[0]) elements.
+    A block's m and v are updated in place and the pass yields (name,
+    block slice of the flattened tensor, parameter block view, m_hat,
+    v_hat), with m_hat and v_hat in the state's scratch buffers, which the
+    consumer may overwrite. The arithmetic is the textbook
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), m_hat = m/(1-b1^t),
-    v_hat = v/(1-b2^t), operation for operation, so results are bitwise
-    those of the unstreamed formulas.
+    v_hat = v/(1-b2^t), operation for operation and elementwise, so results
+    are bitwise those of the unblocked formulas at any block size.
     """
     state.t += 1
     bc1 = 1.0 - config.beta1**state.t
     bc2 = 1.0 - config.beta2**state.t
+    scratch_m, scratch_v = state.scratch
+    block = scratch_m.size
 
     def stream():
         for k, g in grads.items():
-            m, v = state.m[k], state.v[k]
-            m_hat = np.multiply(g, 1.0 - config.beta1)
-            m *= config.beta1
-            m += m_hat
-            v_hat = np.multiply(g, g)
-            v_hat *= 1.0 - config.beta2
-            v *= config.beta2
-            v += v_hat
-            yield k, np.divide(m, bc1, out=m_hat), np.divide(v, bc2, out=v_hat)
+            g = g.reshape(-1)
+            p, m, v = (a.reshape(-1) for a in (params[k], state.m[k], state.v[k]))
+            for lo in range(0, g.size, block):
+                sl = slice(lo, lo + block)
+                gb, mb, vb = g[sl], m[sl], v[sl]
+                m_hat = np.multiply(gb, 1.0 - config.beta1, out=scratch_m[: gb.size])
+                mb *= config.beta1
+                mb += m_hat
+                v_hat = np.multiply(gb, gb, out=scratch_v[: gb.size])
+                v_hat *= 1.0 - config.beta2
+                vb *= config.beta2
+                vb += v_hat
+                yield k, sl, p[sl], np.divide(mb, bc1, out=m_hat), np.divide(vb, bc2, out=v_hat)
 
     return stream()
 
@@ -121,10 +156,10 @@ def _adam_update(
     params: Params, grads: Params, state: OptimizerState, config: OptimizerConfig, lr: float
 ) -> None:
     """Adam's update at learning rate lr; the caller has checked the inputs."""
-    for k, m_hat, v_hat in _moments(grads, state, config):
+    for _, _, p, m_hat, v_hat in _moments(params, grads, state, config):
         m_hat *= lr
         m_hat /= _denominator(v_hat, config)
-        params[k] -= m_hat
+        p -= m_hat
 
 
 def adam_step(params: Params, grads: Params, state: OptimizerState, config: OptimizerConfig) -> None:
@@ -139,23 +174,24 @@ def amsgrad_step(params: Params, grads: Params, state: OptimizerState, config: O
     _check_shapes(params, grads)
     if state.v_max is None:
         state.v_max = {k: np.zeros_like(v) for k, v in params.items()}
-    for k, m_hat, v_hat in _moments(grads, state, config):
-        v_max = np.maximum(state.v_max[k], v_hat, out=state.v_max[k])
+    for k, sl, p, m_hat, v_hat in _moments(params, grads, state, config):
+        v_max = state.v_max[k].reshape(-1)[sl]
+        np.maximum(v_max, v_hat, out=v_max)
         v_hat[...] = v_max
         m_hat *= config.base_lr
         m_hat /= _denominator(v_hat, config)
-        params[k] -= m_hat
+        p -= m_hat
 
 
 def adamw_step(params: Params, grads: Params, state: OptimizerState, config: OptimizerConfig) -> None:
     """Adam plus decoupled weight decay: theta -= lr * wd * theta, applied to
     the pre-step parameters outside the moment machinery."""
     _check_shapes(params, grads)
-    for k, m_hat, v_hat in _moments(grads, state, config):
+    for _, _, p, m_hat, v_hat in _moments(params, grads, state, config):
         m_hat *= config.base_lr
         m_hat /= _denominator(v_hat, config)
-        m_hat += config.base_lr * config.weight_decay * params[k]
-        params[k] -= m_hat
+        m_hat += config.base_lr * config.weight_decay * p
+        p -= m_hat
 
 
 def adabound_bounds(t: int, config: OptimizerConfig) -> tuple[float, float]:
@@ -171,13 +207,13 @@ def adabound_step(params: Params, grads: Params, state: OptimizerState, config: 
     """Adam-style step with the per-coordinate rate clipped into a band that
     tightens around adabound_final_lr."""
     _check_shapes(params, grads)
-    moments = _moments(grads, state, config)
+    moments = _moments(params, grads, state, config)
     lower, upper = adabound_bounds(state.t, config)
-    for k, m_hat, v_hat in moments:
+    for _, _, p, m_hat, v_hat in moments:
         rate = np.divide(config.base_lr, _denominator(v_hat, config), out=v_hat)
         np.clip(rate, lower, upper, out=rate)
         rate *= m_hat
-        params[k] -= rate
+        p -= rate
 
 
 @dataclass
@@ -280,21 +316,21 @@ def scaled_learning_rate(tracker: DifficultyTracker, base_lr: float, difficulty:
     return base_lr * difficulty
 
 
+def _signal_from_norms(squared_norms: list[float], mode: str) -> float:
+    if mode == "global_l2":
+        return float(np.sqrt(sum(squared_norms)))
+    if mode == "mean_per_tensor":
+        return float(np.mean(np.sqrt(squared_norms))) if squared_norms else 0.0
+    raise ValueError(f"unknown grad_norm_mode {mode!r}, expected one of {GRAD_NORM_MODES}")
+
+
 def gradient_signal(grads: Params, mode: str = "global_l2") -> float:
     """Scalar gradient-magnitude signal for difficulty scoring.
 
     global_l2 is the L2 norm of the full concatenated gradient;
     mean_per_tensor averages the per-tensor norms instead.
     """
-    if mode == "global_l2":
-        total = 0.0
-        for g in grads.values():
-            total += float(np.sum(np.square(g)))
-        return float(np.sqrt(total))
-    if mode == "mean_per_tensor":
-        norms = [float(np.sqrt(np.sum(np.square(g)))) for g in grads.values()]
-        return float(np.mean(norms)) if norms else 0.0
-    raise ValueError(f"unknown grad_norm_mode {mode!r}, expected one of {GRAD_NORM_MODES}")
+    return _signal_from_norms([_squared_norm(g) for g in grads.values()], mode)
 
 
 def dbs_adam_step(
@@ -310,8 +346,7 @@ def dbs_adam_step(
 
     batch_loss must be the mean loss of the same batch that produced grads.
     """
-    _check_shapes(params, grads)
-    grad_norm = gradient_signal(grads, grad_norm_mode)
+    grad_norm = _signal_from_norms(_check_shapes(params, grads), grad_norm_mode)
     difficulty = observe_batch(tracker, grad_norm, batch_loss)
     lr = scaled_learning_rate(tracker, config.base_lr, difficulty)
     _adam_update(params, grads, state, config, lr)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from dbsadam.cli import main
@@ -119,6 +120,30 @@ class TestResampleCommand:
         text = (out / "resampled.csv").read_text()
         assert text.splitlines()[0].endswith("label")
         assert "->" in capsys.readouterr().out
+
+    def test_counts_match_the_set_train_fits(self, config_file, tmp_path, monkeypatch):
+        # train() hands its resampled training labels to the loss config;
+        # capture them there and stop the run before any fitting
+        from dbsadam import harness
+
+        class Captured(Exception):
+            pass
+
+        def capture(config, train_labels, n_classes):
+            raise Captured(np.bincount(train_labels, minlength=n_classes).tolist())
+
+        config = harness.load_config(config_file, {"resampler": "smote_enn", "seeds": "5"})
+        monkeypatch.setattr(harness, "_make_loss_config", capture)
+        with pytest.raises(Captured) as fitted:
+            harness.train(config, 5)
+        out = tmp_path / "rs"
+        code = main([
+            "resample", "--config", config_file, "--resampler", "smote_enn",
+            "--seed", "5", "--out", str(out),
+        ])
+        assert code == 0
+        labels = np.loadtxt(out / "resampled.csv", delimiter=",", skiprows=1)[:, -1]
+        assert np.bincount(labels.astype(np.int64)).tolist() == fitted.value.args[0]
 
 
 class TestReportCommand:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbsadam.losses import LossConfig, loss_gradient, loss_value, one_hot, softmax
 from dbsadam.models import (
     LstmCellParams,
     SequenceNetwork,
     _glorot,
+    _sequence_backward,
     _sequence_forward,
     bilstm_layer_forward,
     init_lstm_params,
@@ -66,11 +69,11 @@ class TestLstmCell:
     def test_all_zero_parameters(self):
         cell = zero_cell(3, 2)
         _, cache = _sequence_forward(cell, np.zeros((1, 1, 2)))
-        f, i, c_tilde, o = np.split(cache["gates"][0], 4, axis=1)
+        f, i, c_tilde, o = np.split(cache["gates"][:, 0], 4, axis=1)
         for g in (f, i, o):
             assert np.allclose(g, 0.5)
         assert np.allclose(c_tilde, 0.0)
-        assert np.allclose(cache["c"][0], 0.0)
+        assert np.allclose(cache["c"][:, 0], 0.0)
         assert np.allclose(forward_only(cell, np.zeros((1, 2))), 0.0)
 
     def test_zero_weights_nonzero_cell_state(self):
@@ -97,10 +100,10 @@ class TestLstmCell:
         cell = random_cell(4, 3, 7)
         xs = SeededRng(22).normal(size=(1, 20, 3)) * 3
         hs, cache = _sequence_forward(cell, xs)
-        for gates in cache["gates"]:
-            f, i, _, o = np.split(gates, 4, axis=1)
-            for g in (f, i, o):
-                assert np.all((g > 0) & (g < 1))
+        assert cache["gates"].shape == (1, 20, 16)
+        f, i, _, o = np.split(cache["gates"], 4, axis=2)
+        for g in (f, i, o):
+            assert np.all((g > 0) & (g < 1))
         assert np.all(np.abs(hs) < 1)
         assert np.all(np.isfinite(cache["c"]))
 
@@ -269,6 +272,76 @@ class TestNetworkBackward:
         g2 = network_backward(net, cache2, loss_gradient(config, logits2, one_hot(np.array([1, 1]), 3)))
         for k in g1:
             assert np.allclose(g1[k], g2[k], atol=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_gradients_match_finite_differences_at_paper_step_counts(self, steps):
+        # the paper trains on single-step rows; T = 2 is the desk benchmark
+        labels = one_hot(np.array([0, 2, 1]), 3)
+        for seed, config in [
+            (21, LossConfig(kind="cross_entropy")),
+            (22, LossConfig(kind="focal", gamma=2.0, alpha=0.25)),
+        ]:
+            net = tiny_network(seed)
+            xs = SeededRng(seed + 50).normal(size=(3, steps, 3))
+            assert gradient_check(net, xs, labels, config) < 1e-5
+
+    def test_recurrent_weight_gradient_is_exactly_zero_at_one_step(self):
+        # h_0 = 0, so at T = 1 no loss depends on the W[:, :H] block
+        net = tiny_network(23, dropout=0.3)
+        xs = SeededRng(73).normal(size=(4, 1, 3))
+        logits, cache = network_forward(net, xs, mode="train", rng=SeededRng(3))
+        labels = one_hot(np.array([0, 1, 2, 1]), 3)
+        grads = network_backward(net, cache, loss_gradient(LossConfig(kind="cross_entropy"), logits, labels))
+        for prefix in ("l1f", "l1b", "l2f", "l2b"):
+            hidden = getattr(net, prefix).hidden_size
+            assert np.all(grads[f"{prefix}.W"][:, :hidden] == 0.0), prefix
+            assert np.any(grads[f"{prefix}.W"][:, hidden:] != 0.0), prefix
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        batch=st.integers(1, 3), steps=st.integers(1, 4), inputs=st.integers(1, 3),
+        hidden=st.integers(1, 3), seed=st.integers(0, 2**16),
+    )
+    def test_network_bptt_matches_finite_differences(self, batch, steps, inputs, hidden, seed):
+        net = tiny_network(seed, input_size=inputs, hidden1=hidden, hidden2=hidden)
+        xs = SeededRng(seed + 1).normal(size=(batch, steps, inputs))
+        labels = one_hot(SeededRng(seed + 2).integers(0, 3, size=batch), 3)
+        assert gradient_check(net, xs, labels, LossConfig(kind="cross_entropy")) < 1e-5
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=st.integers(1, 3), steps=st.integers(1, 4), inputs=st.integers(1, 3),
+        hidden=st.integers(1, 3), seed=st.integers(0, 2**16),
+    )
+    def test_sequence_bptt_matches_finite_differences(self, batch, steps, inputs, hidden, seed):
+        # one direction, loss = sum(R * hs): checks dW, db and the input
+        # gradient, which network_backward does not compute for layer 1
+        rng = SeededRng(seed)
+        cell = init_lstm_params(hidden, inputs, rng)
+        cell.b[:] = rng.normal(size=cell.b.shape)
+        xs = rng.normal(size=(batch, steps, inputs))
+        upstream = rng.normal(size=(batch, steps, hidden))
+
+        def loss(W, b, x):
+            return float(np.sum(upstream * _sequence_forward(LstmCellParams(W, b), x)[0]))
+
+        hs, cache = _sequence_forward(cell, xs)
+        grads, dxs = _sequence_backward(cell, cache, upstream)
+        skipped, none = _sequence_backward(cell, cache, upstream, need_dx=False)
+        assert none is None
+        numeric = {
+            "W": finite_difference_gradient(
+                lambda w: loss(w.reshape(cell.W.shape), cell.b, xs), cell.W.ravel()),
+            "b": finite_difference_gradient(lambda b: loss(cell.W, b, xs), cell.b),
+            "x": finite_difference_gradient(
+                lambda x: loss(cell.W, cell.b, x.reshape(xs.shape)), xs.ravel()),
+        }
+        for name, analytic in (("W", grads["W"]), ("b", grads["b"]), ("x", dxs)):
+            assert np.allclose(analytic.ravel(), numeric[name], rtol=1e-6, atol=1e-8), name
+        for name in grads:
+            assert np.array_equal(skipped[name], grads[name])
+        if steps == 1:
+            assert np.all(grads["W"][:, :hidden] == 0.0)
 
     def test_mismatched_cache_rejected(self):
         net = tiny_network(8)

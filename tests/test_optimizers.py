@@ -362,3 +362,116 @@ class TestDbsAdam:
             loss = float(abs(rng.normal()))
             lr = dbs_adam_step(params, g, state, config, tracker, loss)
             assert 0.01 * 0.2 <= lr <= 0.01 * 0.9
+
+
+def textbook_step(name, params, grads, ref, config, lr):
+    # whole-tensor update equations, one tensor at a time; ref holds the
+    # reference m, v, v_max and t
+    ref["t"] += 1
+    t = ref["t"]
+    lower, upper = adabound_bounds(t, config)
+    for k, g in grads.items():
+        m = ref["m"][k] = config.beta1 * ref["m"][k] + (1.0 - config.beta1) * g
+        v = ref["v"][k] = config.beta2 * ref["v"][k] + (1.0 - config.beta2) * (g * g)
+        m_hat = m / (1.0 - config.beta1**t)
+        v_hat = v / (1.0 - config.beta2**t)
+        if name == "amsgrad":
+            v_hat = ref["v_max"][k] = np.maximum(ref["v_max"][k], v_hat)
+        if config.eps_inside_sqrt:
+            denom = np.sqrt(v_hat + config.epsilon)
+        else:
+            denom = np.sqrt(v_hat) + config.epsilon
+        if name == "adabound":
+            params[k] = params[k] - np.clip(lr / denom, lower, upper) * m_hat
+        elif name == "adamw":
+            params[k] = params[k] - (lr * m_hat / denom + lr * config.weight_decay * params[k])
+        else:
+            params[k] = params[k] - lr * m_hat / denom
+
+
+SHAPES = {"w": (3, 4), "u": (13,), "k": (2, 3, 5), "s": (1,)}
+
+
+class TestBlockedMomentPass:
+    @pytest.mark.parametrize("block", [1, 7, 11, None])
+    @pytest.mark.parametrize("eps_inside_sqrt", [False, True])
+    def test_all_five_steps_bit_equal_textbook(self, monkeypatch, block, eps_inside_sqrt):
+        # block 7 and 11 split the 12-, 13- and 30-element tensors unevenly;
+        # None keeps the module's block, larger than every tensor here
+        from dbsadam import optimizers
+
+        if block is not None:
+            monkeypatch.setattr(optimizers, "_BLOCK_ELEMENTS", block)
+        config = OptimizerConfig(base_lr=0.01, eps_inside_sqrt=eps_inside_sqrt)
+        for name in ("adam", "amsgrad", "adamw", "adabound", "dbs_adam"):
+            rng = SeededRng(31)
+            params = make(SHAPES, seed=32)
+            ref_params = {k: v.copy() for k, v in params.items()}
+            state = OptimizerState(params)
+            assert state.scratch[0].size == (block or optimizers._BLOCK_ELEMENTS)
+            ref = {"t": 0, "m": {k: np.zeros(s) for k, s in SHAPES.items()},
+                   "v": {k: np.zeros(s) for k, s in SHAPES.items()},
+                   "v_max": {k: np.zeros(s) for k, s in SHAPES.items()}}
+            tracker = DifficultyTracker(warmup_batches=2)
+            for step in range(8):
+                # per-element scales from 1e-3 to 1e3 make v_hat fall for some
+                # elements, so amsgrad's v_max holds old maxima in every block
+                grads = {k: rng.normal(size=s) * 10.0 ** rng.uniform(-3, 3, size=s)
+                         for k, s in SHAPES.items()}
+                if name == "dbs_adam":
+                    lr = dbs_adam_step(params, grads, state, config, tracker, 1.0 + step)
+                else:
+                    optimizers.OPTIMIZER_STEPS[name](params, grads, state, config)
+                    lr = config.base_lr
+                textbook_step(name, ref_params, grads, ref, config, lr)
+            assert state.t == ref["t"]
+            for k in SHAPES:
+                assert np.array_equal(params[k], ref_params[k]), (name, k)
+                assert np.array_equal(state.m[k], ref["m"][k]), (name, k)
+                assert np.array_equal(state.v[k], ref["v"][k]), (name, k)
+                if name == "amsgrad":
+                    assert np.array_equal(state.v_max[k], ref["v_max"][k]), (name, k)
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = {"w": np.zeros((4, 3)).T}
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam_step(params, {"w": np.ones((3, 4))}, OptimizerState(params), OptimizerConfig())
+
+
+class TestFoldedFiniteCheck:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_last_block_entry_reported_and_state_untouched(self, monkeypatch, bad):
+        from dbsadam import optimizers
+
+        monkeypatch.setattr(optimizers, "_BLOCK_ELEMENTS", 4)
+        params = {"a": np.ones(3), "w": np.zeros((3, 5))}  # w: blocks 4+4+4+3
+        state = OptimizerState(params)
+        tracker = DifficultyTracker()
+        good = {"a": np.full(3, 0.5), "w": np.full((3, 5), 0.5)}
+        dbs_adam_step(params, good, state, OptimizerConfig(), tracker, 1.0)
+        before = (tracker.batches_seen, state.t,
+                  {k: v.copy() for k, v in state.m.items()},
+                  {k: v.copy() for k, v in state.v.items()},
+                  {k: v.copy() for k, v in params.items()})
+        grads = {"a": np.ones(3), "w": np.full((3, 5), 0.25)}
+        grads["w"][2, 4] = bad
+        for step in (adam_step, amsgrad_step, adamw_step, adabound_step):
+            with pytest.raises(ValueError, match=r"'w' at index \(2, 4\)"):
+                step(params, grads, state, OptimizerConfig())
+        with pytest.raises(ValueError, match=r"'w' at index \(2, 4\)"):
+            dbs_adam_step(params, grads, state, OptimizerConfig(), tracker, 1.0)
+        assert (tracker.batches_seen, state.t) == before[:2]
+        assert state.v_max is None or all(np.all(v == 0) for v in state.v_max.values())
+        for k in params:
+            assert np.array_equal(state.m[k], before[2][k])
+            assert np.array_equal(state.v[k], before[3][k])
+            assert np.array_equal(params[k], before[4][k])
+
+    def test_overflowing_squared_norm_of_finite_gradient_passes(self):
+        # 1e200 squared overflows to inf, but every entry is finite
+        params = {"w": np.ones(4), "b": np.zeros(2)}
+        grads = {"w": np.full(4, 1e200), "b": np.array([-1e200, 1.0])}
+        with np.errstate(over="ignore"):
+            adam_step(params, grads, OptimizerState(params), OptimizerConfig())
+            assert gradient_signal(grads) == np.inf
+        assert np.all(np.isfinite(params["w"])) and np.all(np.isfinite(params["b"]))
