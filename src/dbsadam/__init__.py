@@ -7,8 +7,9 @@ The package bundles, in pure NumPy:
   from EMA-normalized gradient norms and batch losses
 - a stacked bidirectional LSTM classifier with exact hand-derived BPTT
   gradients, checked against central finite differences
-- imbalance tooling: weighted cross-entropy, multiclass focal loss,
-  SMOTE-ENN and ADASYN resampling
+- imbalance tooling: one focal-form loss whose cases are cross-entropy,
+  class-weighted cross-entropy and multiclass focal loss, plus SMOTE-ENN and
+  ADASYN resampling
 - evaluation and a multi-seed experiment harness with paired t-tests and
   Cohen's d effect sizes
 
@@ -51,16 +52,12 @@ from .harness import (
 )
 from .losses import (
     LossConfig,
-    batch_mean_loss,
-    cross_entropy,
     default_class_weights,
-    focal_loss,
     loss_gradient,
     loss_per_sample,
     loss_value,
     one_hot,
     softmax,
-    weighted_cross_entropy,
 )
 from .models import (
     LstmCellParams,

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -168,12 +168,24 @@ class ExperimentConfig:
             raise ConfigError(f"sweep_seeds must be >= 1, got {self.sweep_seeds}")
         if self.sequence_chunks < 1:
             raise ConfigError(f"sequence_chunks must be >= 1, got {self.sequence_chunks}")
-        for name in ("smote_k", "enn_k", "adasyn_k"):
+        for name in ("smote_k", "enn_k", "adasyn_k", "hidden1", "hidden2", "dense_units",
+                     "max_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        if self.dataset == "synthetic":
+            if self.synthetic_samples < 1:
+                raise ConfigError(f"synthetic_samples must be >= 1, got {self.synthetic_samples}")
+            if self.synthetic_features < len(self.synthetic_priors):
+                raise ConfigError(
+                    f"synthetic_features={self.synthetic_features} is fewer than the "
+                    f"{len(self.synthetic_priors)} classes in synthetic_priors"
+                )
         try:
             _from_shared_fields(OptimizerConfig, self)
             _from_shared_fields(DifficultyTracker, self)
+            LossConfig(kind="focal", gamma=self.gamma, alpha=self.focal_alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -491,7 +503,7 @@ def compare_optimizers(
     report = ComparisonReport()
     by_name: dict[str, list[RunResult]] = {}
     for name in dict.fromkeys(config.optimizers):  # unique, order kept
-        cfg = _with_optimizer(config, name)
+        cfg = replace(config, optimizer=name)
         runs = [train(cfg, seed) for seed in seeds]
         by_name[name] = runs
         report.runs.extend(runs)
@@ -506,12 +518,6 @@ def compare_optimizers(
                 {"optimizer_a": a, "optimizer_b": b, "metric": metric, "result": result}
             )
     return report
-
-
-def _with_optimizer(config: ExperimentConfig, name: str) -> ExperimentConfig:
-    clone = ExperimentConfig(**asdict(config))
-    clone.optimizer = name
-    return clone
 
 
 def sensitivity_sweep(
@@ -538,10 +544,7 @@ def sensitivity_sweep(
     report = ComparisonReport()
     for beta in betas:
         for alpha in alphas:
-            cell_cfg = ExperimentConfig(**asdict(config))
-            cell_cfg.optimizer = "dbs_adam"
-            cell_cfg.ema_beta = beta
-            cell_cfg.alpha_mix = alpha
+            cell_cfg = replace(config, optimizer="dbs_adam", ema_beta=beta, alpha_mix=alpha)
             tag = f"beta={beta:g},alpha={alpha:g}"
             runs = []
             for seed in seeds:

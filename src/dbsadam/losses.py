@@ -1,9 +1,13 @@
 """Softmax head and classification losses with analytic logit gradients.
 
-Three loss kinds are supported: plain categorical cross-entropy, class-weighted
-cross-entropy, and multiclass focal loss. Every loss reduces over the batch by
-the mean, and every analytic gradient is checked against central differences
-in the test suite.
+Every loss kind is one instance of the focal form of Lin et al. 2017
+(arXiv:1708.02002) over one-hot labels, -w_t (1 - p_t)^gamma log p_t, where
+p_t is the predicted probability of the true class, floored at PROB_FLOOR
+before the log. Cross-entropy is w_t = 1, gamma = 0; class-weighted
+cross-entropy is w_t = class_weights[y], gamma = 0; focal loss is
+w_t = alpha (a scalar or a per-class vector) with its own gamma. Every loss
+reduces over the batch by the mean, and every analytic gradient is checked
+against central differences in the test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ class LossConfig:
     """Selects and parameterizes a loss.
 
     class_weights applies to weighted_cross_entropy; gamma/alpha to focal.
-    alpha may be a scalar applied uniformly or a per-class vector.
+    alpha may be a scalar applied uniformly or a per-class vector. Weights
+    must be strictly positive.
     """
 
     kind: str = "cross_entropy"
@@ -37,10 +42,13 @@ class LossConfig:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if self.kind == "weighted_cross_entropy" and self.class_weights is None:
+            raise ValueError("weighted_cross_entropy requires class_weights")
         if self.class_weights is not None:
             self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
-            if np.any(self.class_weights <= 0):
-                raise ValueError("class weights must be strictly positive")
+        for name, w in (("class weights", self.class_weights), ("alpha", self.alpha)):
+            if w is not None and not np.all(np.asarray(w) > 0):
+                raise ValueError(f"{name} must be strictly positive, got {w}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -62,41 +70,6 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def _as_batch(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
-    if probs.shape != labels.shape:
-        raise ValueError(f"probs shape {probs.shape} != labels shape {labels.shape}")
-    return probs, labels
-
-
-def cross_entropy_per_sample(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    probs, labels = _as_batch(probs, labels)
-    return -np.sum(labels * np.log(np.maximum(probs, PROB_FLOOR)), axis=1)
-
-
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean categorical cross-entropy over the batch."""
-    return float(np.mean(cross_entropy_per_sample(probs, labels)))
-
-
-def weighted_cross_entropy_per_sample(
-    probs: np.ndarray, labels: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    probs, labels = _as_batch(probs, labels)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (probs.shape[1],):
-        raise ValueError(
-            f"weight vector length {weights.shape} does not match {probs.shape[1]} classes"
-        )
-    return -np.sum(weights * labels * np.log(np.maximum(probs, PROB_FLOOR)), axis=1)
-
-
-def weighted_cross_entropy(probs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
-    """Class-weighted cross-entropy, -(1/N) sum_i sum_c w_c y_ic log p_ic."""
-    return float(np.mean(weighted_cross_entropy_per_sample(probs, labels, weights)))
-
-
 def default_class_weights(class_counts: np.ndarray) -> np.ndarray:
     """Inverse-frequency weights w_c = N / (N_c * C)."""
     counts = np.asarray(class_counts, dtype=np.float64)
@@ -105,102 +78,61 @@ def default_class_weights(class_counts: np.ndarray) -> np.ndarray:
     return counts.sum() / (counts * counts.size)
 
 
-def focal_loss_per_sample(
-    probs: np.ndarray, labels: np.ndarray, gamma: float = 2.0, alpha=0.25
-) -> np.ndarray:
-    """Per-sample focal term -alpha_c (1 - p_t)^gamma log(p_t).
-
-    Multiclass one-hot form: only the true-class term survives the class sum.
-    alpha is a scalar or a length-C vector.
-    """
-    probs, labels = _as_batch(probs, labels)
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    alpha_c = _alpha_per_sample(alpha, labels)
-    p_t = np.sum(probs * labels, axis=1)
-    log_p = np.log(np.maximum(p_t, PROB_FLOOR))
-    return -alpha_c * (1.0 - p_t) ** gamma * log_p
-
-
-def focal_loss(probs: np.ndarray, labels: np.ndarray, gamma: float = 2.0, alpha=0.25) -> float:
-    """Mean focal loss over the batch."""
-    return float(np.mean(focal_loss_per_sample(probs, labels, gamma, alpha)))
-
-
-def _alpha_per_sample(alpha, labels: np.ndarray) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim == 0:
-        return np.full(labels.shape[0], float(alpha))
-    if alpha.shape != (labels.shape[1],):
-        raise ValueError(f"alpha vector length {alpha.shape} does not match {labels.shape[1]} classes")
-    return labels @ alpha
-
-
-def batch_mean_loss(per_sample_losses: np.ndarray) -> float:
-    """Mean of the per-sample losses; the batch size must be >= 1."""
-    v = np.asarray(per_sample_losses, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("batch_mean_loss of an empty batch")
-    return float(np.mean(v))
+def _focal_terms(config: LossConfig, scores: np.ndarray, labels: np.ndarray):
+    """Batch the probabilities or logits and one-hot labels, check their
+    shapes, and resolve each sample's true-class weight w_t and gamma."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
+    if scores.shape != labels.shape:
+        raise ValueError(f"scores shape {scores.shape} != labels shape {labels.shape}")
+    if config.kind == "cross_entropy":
+        w, gamma = 1.0, 0.0
+    elif config.kind == "weighted_cross_entropy":
+        w, gamma = config.class_weights, 0.0
+    else:
+        w, gamma = config.alpha, config.gamma
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim == 0:
+        return scores, labels, np.full(labels.shape[0], float(w)), gamma
+    if w.shape != (labels.shape[1],):
+        raise ValueError(f"weight vector length {w.shape} does not match {labels.shape[1]} classes")
+    return scores, labels, labels @ w, gamma
 
 
 def loss_per_sample(config: LossConfig, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample loss values under the configured loss."""
-    if config.kind == "cross_entropy":
-        return cross_entropy_per_sample(probs, labels)
-    if config.kind == "weighted_cross_entropy":
-        if config.class_weights is None:
-            raise ValueError("weighted_cross_entropy requires class_weights")
-        return weighted_cross_entropy_per_sample(probs, labels, config.class_weights)
-    return focal_loss_per_sample(probs, labels, config.gamma, config.alpha)
+    """Per-sample loss values -w_t (1 - p_t)^gamma log p_t under the
+    configured loss; labels must be one-hot."""
+    probs, labels, w_t, gamma = _focal_terms(config, probs, labels)
+    p_t = np.sum(probs * labels, axis=1)
+    return -w_t * (1.0 - p_t) ** gamma * np.log(np.maximum(p_t, PROB_FLOOR))
 
 
 def loss_value(config: LossConfig, probs: np.ndarray, labels: np.ndarray) -> float:
-    """Batch-mean loss under the configured loss."""
-    return batch_mean_loss(loss_per_sample(config, probs, labels))
+    """Batch-mean loss under the configured loss; the batch must be non-empty."""
+    per_sample = loss_per_sample(config, probs, labels)
+    if per_sample.size == 0:
+        raise ValueError("loss_value of an empty batch")
+    return float(np.mean(per_sample))
 
 
 def loss_gradient(config: LossConfig, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Analytic gradient of the batch-mean loss with respect to the logits.
 
-    For plain cross-entropy each row is (softmax(z) - y) / N. The weighted
-    and focal forms scale that row by the true-class weight and by the focal
-    chain-rule factor respectively.
+    At gamma = 0 each row is w_t (softmax(z) - y) / N. For gamma > 0 the
+    row is the focal chain rule dl/dp_t * p_t * (y - softmax(z)) / N.
     """
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
-    if logits.shape != labels.shape:
-        raise ValueError(f"logits shape {logits.shape} != labels shape {labels.shape}")
-    n, _ = logits.shape
+    logits, labels, w_t, gamma = _focal_terms(config, logits, labels)
+    n = logits.shape[0]
     probs = softmax(logits)
-
-    if config.kind == "cross_entropy":
-        return (probs - labels) / n
-
-    if config.kind == "weighted_cross_entropy":
-        if config.class_weights is None:
-            raise ValueError("weighted_cross_entropy requires class_weights")
-        w = np.asarray(config.class_weights, dtype=np.float64)
-        if w.shape != (logits.shape[1],):
-            raise ValueError(f"weight vector length {w.shape} does not match {logits.shape[1]} classes")
-        # per-sample true-class weight scales the plain CE row
-        w_t = labels @ w
+    if gamma == 0.0:
         return w_t[:, None] * (probs - labels) / n
 
-    # focal: dl/dz_j = dl/dp_t * p_t * (delta_tj - p_j)
-    gamma = config.gamma
-    alpha_c = _alpha_per_sample(config.alpha, labels)
     p_t = np.sum(probs * labels, axis=1)
     p_t_f = np.maximum(p_t, PROB_FLOOR)
     u = 1.0 - p_t
-    log_p = np.log(p_t_f)
     # u^(gamma-1) -> 0 as p_t -> 1 for gamma > 0 (log p_t vanishes faster),
     # so the u == 0 branch takes the correct limit instead of 0^negative.
-    if gamma == 0.0:
-        term1 = np.zeros_like(u)
-    else:
-        u_pow_gm1 = np.where(u > 0.0, np.where(u > 0.0, u, 1.0) ** (gamma - 1.0), 0.0)
-        term1 = gamma * u_pow_gm1 * log_p
-    dl_dpt = alpha_c * (term1 - (u**gamma) / p_t_f)
+    u_pow_gm1 = np.where(u > 0.0, np.where(u > 0.0, u, 1.0) ** (gamma - 1.0), 0.0)
+    dl_dpt = w_t * (gamma * u_pow_gm1 * np.log(p_t_f) - (u**gamma) / p_t_f)
     grad = dl_dpt[:, None] * p_t[:, None] * (labels - probs)
     return grad / n

@@ -66,6 +66,17 @@ class TestExitCodes:
             ("--smote_k", "-2", "--resampler", "smote_enn"),
             ("--enn_k", "0", "--resampler", "smote_enn"),
             ("--adasyn_k", "0", "--resampler", "adasyn"),
+            ("--gamma", "-1"),
+            ("--focal_alpha", "-1"),
+            ("--focal_alpha", "0"),
+            ("--focal_alpha", "-1", "--loss", "focal"),
+            ("--dropout_rate", "1.5"),
+            ("--hidden1", "0"),
+            ("--hidden2", "0"),
+            ("--dense_units", "0"),
+            ("--max_epochs", "0", "--patience", "0"),
+            ("--synthetic_samples", "0"),
+            ("--synthetic_features", "2"),
         ]:
             assert main(["train", "--config", config_file, *flags]) == 1, flags
 

@@ -66,6 +66,18 @@ class TestConfigValidation:
             {"smote_k": 0},
             {"enn_k": 0},
             {"adasyn_k": 0},
+            {"gamma": -1.0},
+            {"focal_alpha": -1.0},
+            {"focal_alpha": 0.0},
+            {"dropout_rate": 1.5},
+            {"dropout_rate": 1.0},
+            {"dropout_rate": -0.1},
+            {"hidden1": 0},
+            {"hidden2": 0},
+            {"dense_units": 0},
+            {"max_epochs": 0, "patience": 0},
+            {"synthetic_samples": 0},
+            {"synthetic_features": 2},
         ],
     )
     def test_invalid_rejected(self, overrides):

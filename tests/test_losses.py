@@ -2,18 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbsadam.losses import (
+    PROB_FLOOR,
     LossConfig,
-    batch_mean_loss,
-    cross_entropy,
     default_class_weights,
-    focal_loss,
     loss_gradient,
+    loss_per_sample,
     loss_value,
     one_hot,
     softmax,
-    weighted_cross_entropy,
 )
 from dbsadam.numerics import SeededRng, finite_difference_gradient
 
@@ -22,6 +22,63 @@ def random_batch(rng, n=6, c=4):
     logits = rng.normal(size=(n, c)) * 2.0
     labels = one_hot(rng.integers(0, c, size=n), c)
     return logits, labels
+
+
+def cross_entropy(probs, labels):
+    return loss_value(LossConfig(kind="cross_entropy"), probs, labels)
+
+
+def weighted_cross_entropy(probs, labels, weights):
+    return loss_value(LossConfig(kind="weighted_cross_entropy", class_weights=weights), probs, labels)
+
+
+def focal_loss(probs, labels, gamma=2.0, alpha=0.25):
+    return loss_value(LossConfig(kind="focal", gamma=gamma, alpha=alpha), probs, labels)
+
+
+# The three per-kind formulas (value and gradient) that the focal form
+# replaced, kept operation for operation as the reference it must match.
+def reference_alpha(alpha, labels):
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim == 0:
+        return np.full(labels.shape[0], float(alpha))
+    return labels @ alpha
+
+
+def reference_per_sample(config, probs, labels):
+    if config.kind == "cross_entropy":
+        return -np.sum(labels * np.log(np.maximum(probs, PROB_FLOOR)), axis=1)
+    if config.kind == "weighted_cross_entropy":
+        weights = config.class_weights
+        return -np.sum(weights * labels * np.log(np.maximum(probs, PROB_FLOOR)), axis=1)
+    alpha_c = reference_alpha(config.alpha, labels)
+    p_t = np.sum(probs * labels, axis=1)
+    log_p = np.log(np.maximum(p_t, PROB_FLOOR))
+    return -alpha_c * (1.0 - p_t) ** config.gamma * log_p
+
+
+def reference_gradient(config, logits, labels):
+    n = logits.shape[0]
+    probs = softmax(logits)
+    if config.kind == "cross_entropy":
+        return (probs - labels) / n
+    if config.kind == "weighted_cross_entropy":
+        w_t = labels @ config.class_weights
+        return w_t[:, None] * (probs - labels) / n
+    gamma = config.gamma
+    alpha_c = reference_alpha(config.alpha, labels)
+    p_t = np.sum(probs * labels, axis=1)
+    p_t_f = np.maximum(p_t, PROB_FLOOR)
+    u = 1.0 - p_t
+    log_p = np.log(p_t_f)
+    if gamma == 0.0:
+        term1 = np.zeros_like(u)
+    else:
+        u_pow_gm1 = np.where(u > 0.0, np.where(u > 0.0, u, 1.0) ** (gamma - 1.0), 0.0)
+        term1 = gamma * u_pow_gm1 * log_p
+    dl_dpt = alpha_c * (term1 - (u**gamma) / p_t_f)
+    grad = dl_dpt[:, None] * p_t[:, None] * (labels - probs)
+    return grad / n
 
 
 class TestSoftmax:
@@ -67,6 +124,10 @@ class TestWeightedCrossEntropy:
         labels = one_hot(np.array([0, 1]), 3)
         with pytest.raises(ValueError):
             weighted_cross_entropy(probs, labels, np.ones(2))
+
+    def test_missing_weights_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="requires class_weights"):
+            LossConfig(kind="weighted_cross_entropy")
 
 
 class TestDefaultClassWeights:
@@ -119,20 +180,33 @@ class TestFocalLoss:
         with pytest.raises(ValueError):
             focal_loss(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]), gamma=-1.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.25, np.array([0.1, 0.0, 0.3]), math.nan])
+    def test_non_positive_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be strictly positive"):
+            LossConfig(kind="focal", alpha=alpha)
+
 
 class TestBatchMeanLoss:
+    """loss_value is the mean of loss_per_sample over a non-empty batch."""
+
     def test_singleton(self):
-        assert batch_mean_loss([2.0]) == 2.0
+        probs, labels = np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]])
+        assert cross_entropy(probs, labels) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_pair(self):
-        assert batch_mean_loss([1.0, 3.0]) == 2.0
+        probs = np.array([[0.5, 0.5], [0.25, 0.75]])
+        labels = np.array([[1.0, 0.0], [1.0, 0.0]])
+        assert cross_entropy(probs, labels) == pytest.approx(1.5 * math.log(2.0), abs=1e-15)
 
     def test_mean(self):
-        assert batch_mean_loss([0.1, 0.2, 0.3, 0.4]) == pytest.approx(0.25)
+        logits, labels = random_batch(SeededRng(7), n=4)
+        config = LossConfig(kind="focal", gamma=2.0, alpha=0.25)
+        per_sample = loss_per_sample(config, softmax(logits), labels)
+        assert loss_value(config, softmax(logits), labels) == float(np.mean(per_sample))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            batch_mean_loss([])
+            cross_entropy(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 ALL_CONFIGS = [
@@ -173,3 +247,45 @@ class TestLossGradient:
             analytic = loss_gradient(config, logits, labels).ravel()
             denom = np.maximum(np.abs(numeric), 1e-8)
             assert np.max(np.abs(analytic - numeric) / denom) < 1e-5
+
+    def test_focal_gamma_zero_matches_weighted_ce_gradient(self):
+        logits, labels = random_batch(SeededRng(8))
+        weights = np.array([0.5, 2.0, 1.3, 0.9])
+        focal = LossConfig(kind="focal", gamma=0.0, alpha=weights)
+        weighted = LossConfig(kind="weighted_cross_entropy", class_weights=weights)
+        assert np.array_equal(loss_gradient(focal, logits, labels), loss_gradient(weighted, logits, labels))
+
+
+@st.composite
+def loss_case(draw):
+    """A random batch with one config of each kind: vector class weights,
+    and a focal alpha that is a scalar or a per-class vector with gamma > 0."""
+    n, c = draw(st.integers(1, 40)), draw(st.integers(2, 6))
+    rng = SeededRng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([0.01, 1.0, 5.0, 40.0, 200.0]))
+    logits = rng.normal(size=(n, c)) * scale
+    labels = one_hot(rng.integers(0, c, size=n), c)
+    weights = rng.uniform(0.05, 5.0, size=c)
+    alpha = weights[0] if draw(st.booleans()) else weights[::-1].copy()
+    gamma = draw(st.floats(0.05, 5.0))
+    configs = [
+        LossConfig(kind="cross_entropy"),
+        LossConfig(kind="weighted_cross_entropy", class_weights=weights),
+        LossConfig(kind="focal", gamma=gamma, alpha=alpha),
+    ]
+    return logits, labels, configs
+
+
+class TestFocalFormMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(case=loss_case())
+    def test_bit_equal_to_per_kind_formulas(self, case):
+        logits, labels, configs = case
+        probs = softmax(logits)
+        for config in configs:
+            assert np.array_equal(
+                loss_per_sample(config, probs, labels), reference_per_sample(config, probs, labels)
+            ), config.kind
+            assert np.array_equal(
+                loss_gradient(config, logits, labels), reference_gradient(config, logits, labels)
+            ), config.kind
