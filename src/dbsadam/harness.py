@@ -45,10 +45,9 @@ from .losses import (
     one_hot,
     softmax,
 )
-from .models import AGGREGATIONS, SequenceNetwork, network_backward, network_forward
+from .models import SequenceNetwork, network_backward, network_forward
 from .numerics import SeededRng
 from .optimizers import (
-    GRAD_NORM_MODES,
     OPTIMIZER_NAMES,
     OPTIMIZER_STEPS,
     DifficultyTracker,
@@ -99,7 +98,6 @@ class ExperimentConfig:
     hidden2: int = 128
     dense_units: int = 64
     dropout_rate: float = 0.40
-    aggregation: str = "last"
     # loss
     loss: str = "focal"
     gamma: float = 2.0
@@ -114,7 +112,6 @@ class ExperimentConfig:
     weight_decay: float = 0.01
     adabound_final_lr: float = 0.1
     adabound_gamma: float = 1e-3
-    eps_inside_sqrt: bool = False
     # batch-difficulty scaling
     ema_beta: float = 0.95
     alpha_mix: float = 0.5
@@ -123,7 +120,6 @@ class ExperimentConfig:
     d_max: float = 1.0
     norm_epsilon: float = 1e-8
     warmup_batches: int = 10
-    grad_norm_mode: str = "global_l2"
     # training
     batch_size: int = 32
     max_epochs: int = 30
@@ -156,12 +152,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown resampler {self.resampler!r}, expected one of {RESAMPLERS}")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"unknown loss {self.loss!r}, expected one of {LOSS_KINDS}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
-        if self.grad_norm_mode not in GRAD_NORM_MODES:
-            raise ConfigError(f"unknown grad_norm_mode {self.grad_norm_mode!r}")
-        if not (0.0 <= self.test_fraction < 1.0 and 0.0 <= self.validation_fraction < 1.0):
-            raise ConfigError("fractions must lie in [0, 1)")
+        for name in ("test_fraction", "validation_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if self.dataset != "synthetic" and not self.schema_file:
             raise ConfigError("a CSV dataset requires schema_file")
         if self.sweep_seeds < 1:
@@ -177,6 +170,8 @@ class ExperimentConfig:
         if self.dataset == "synthetic":
             if self.synthetic_samples < 1:
                 raise ConfigError(f"synthetic_samples must be >= 1, got {self.synthetic_samples}")
+            if not (self.synthetic_priors and all(0 < p < math.inf for p in self.synthetic_priors)):
+                raise ConfigError(f"synthetic_priors must be positive and finite, got {self.synthetic_priors}")
             if self.synthetic_features < len(self.synthetic_priors):
                 raise ConfigError(
                     f"synthetic_features={self.synthetic_features} is fewer than the "
@@ -199,12 +194,6 @@ def _from_shared_fields(cls, config: ExperimentConfig):
 
 def _parse_value(raw: str, target_type) -> object:
     raw = raw.strip()
-    if target_type is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
     if target_type in (int, float):
         try:
             return target_type(raw)
@@ -372,6 +361,9 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
     config.validate()
     started = time.perf_counter()
     _, train_ds, val_ds, test_ds = prepare_training(config, seed)
+    for name, ds in (("training", train_ds), ("validation", val_ds), ("test", test_ds)):
+        if ds.n_samples == 0:
+            raise ValueError(f"the {name} split has 0 rows; it needs more data or a larger fraction")
     root = SeededRng(seed)
 
     n_classes = train_ds.n_classes
@@ -388,7 +380,6 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
         hidden2=config.hidden2,
         dense_units=config.dense_units,
         dropout_rate=config.dropout_rate,
-        aggregation=config.aggregation,
         rng=root.child(_STREAM_INIT),
     )
     params = net.params()
@@ -422,10 +413,7 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
                 batch_loss = float(per.mean())
                 grads = network_backward(net, cache, loss_gradient(loss_config, logits, yb))
                 if is_dbs:
-                    lr = dbs_adam_step(
-                        params, grads, state, opt_config, tracker, batch_loss,
-                        grad_norm_mode=config.grad_norm_mode,
-                    )
+                    lr = dbs_adam_step(params, grads, state, opt_config, tracker, batch_loss)
                     lr_trace.append(lr)
                 else:
                     OPTIMIZER_STEPS[config.optimizer](params, grads, state, opt_config)

@@ -85,6 +85,8 @@ def _focal_terms(config: LossConfig, scores: np.ndarray, labels: np.ndarray):
     labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
     if scores.shape != labels.shape:
         raise ValueError(f"scores shape {scores.shape} != labels shape {labels.shape}")
+    if scores.shape[1] == 0:
+        raise ValueError(f"empty batch: scores of shape {scores.shape} have no classes")
     if config.kind == "cross_entropy":
         w, gamma = 1.0, 0.0
     elif config.kind == "weighted_cross_entropy":

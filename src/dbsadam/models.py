@@ -1,7 +1,7 @@
 """Stacked bidirectional LSTM classifier with hand-derived BPTT gradients.
 
-Architecture: two Bi-LSTM layers -> dropout after each -> temporal
-aggregation -> dense ReLU layer -> dropout -> class logits. Each direction of
+Architecture: two Bi-LSTM layers -> dropout after each -> the last fused
+timestep -> dense ReLU layer -> dropout -> class logits. Each direction of
 a Bi-LSTM is a standard LSTM cell over the concatenation [h_prev, x], its
 four gates stacked into one weight matrix; the two directions are fused by
 elementwise addition per timestep.
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import SeededRng, sigmoid
-
-AGGREGATIONS = ("last", "mean")
 
 GATE_NAMES = ("f", "i", "c", "o")
 
@@ -196,11 +194,11 @@ def _bilstm_backward(
 
 class SequenceNetwork:
     """Bi-LSTM (hidden1) -> dropout -> Bi-LSTM (hidden2) -> dropout ->
-    aggregation -> dense ReLU -> dropout -> logits.
+    last timestep -> dense ReLU -> dropout -> logits.
 
     Dropout is inverted (masks scaled by 1/keep at train time) so eval mode
-    is a plain pass-through. Aggregation "last" takes the final fused
-    timestep, "mean" averages over time.
+    is a plain pass-through. Only the final fused timestep of the second
+    Bi-LSTM feeds the dense layer.
     """
 
     def __init__(
@@ -211,19 +209,15 @@ class SequenceNetwork:
         hidden2: int = 128,
         dense_units: int = 64,
         dropout_rate: float = 0.40,
-        aggregation: str = "last",
         rng: SeededRng | None = None,
     ):
         if not (0.0 <= dropout_rate < 1.0):
             raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
-        if aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation {aggregation!r} not in {AGGREGATIONS}")
         if rng is None:
             rng = SeededRng(0)
         self.input_size = input_size
         self.n_classes = n_classes
         self.dropout_rate = dropout_rate
-        self.aggregation = aggregation
         self.l1f = init_lstm_params(hidden1, input_size, rng)
         self.l1b = init_lstm_params(hidden1, input_size, rng)
         self.l2f = init_lstm_params(hidden2, hidden1, rng)
@@ -279,11 +273,7 @@ def network_forward(
     mask2 = _dropout_mask(rng, fused2.shape, net.dropout_rate) if dropping else None
     seq2 = fused2 * mask2 if dropping else fused2
 
-    if net.aggregation == "last":
-        pooled = seq2[:, -1, :]
-    else:
-        pooled = seq2.mean(axis=1)
-
+    pooled = seq2[:, -1, :]
     pre = pooled @ net.dense_w.T + net.dense_b
     act = np.maximum(pre, 0.0)
     mask3 = _dropout_mask(rng, act.shape, net.dropout_rate) if dropping else None
@@ -300,7 +290,6 @@ def network_forward(
         "pre": pre,
         "pooled": pooled,
         "act_d": act_d,
-        "steps": xs.shape[1],
     }
     return logits, cache
 
@@ -312,7 +301,7 @@ def network_backward(net: SequenceNetwork, cache: dict, d_logits: np.ndarray) ->
     class dimensions are validated against it.
     """
     d_logits = np.asarray(d_logits, dtype=np.float64)
-    batch = cache["xs_shape"][0]
+    batch, steps = cache["xs_shape"][:2]
     if d_logits.shape != (batch, net.n_classes):
         raise ValueError(
             f"logit gradient shape {d_logits.shape} does not match cached batch "
@@ -331,13 +320,8 @@ def network_backward(net: SequenceNetwork, cache: dict, d_logits: np.ndarray) ->
     grads["dense.b"] = d_pre.sum(axis=0)
     d_pooled = d_pre @ net.dense_w
 
-    steps = cache["steps"]
-    hidden2 = net.l2f.hidden_size
-    d_seq2 = np.zeros((batch, steps, hidden2))
-    if net.aggregation == "last":
-        d_seq2[:, -1, :] = d_pooled
-    else:
-        d_seq2 += d_pooled[:, None, :] / steps
+    d_seq2 = np.zeros((batch, steps, net.l2f.hidden_size))
+    d_seq2[:, -1, :] = d_pooled
 
     d_fused2 = d_seq2 * cache["mask2"] if cache["mask2"] is not None else d_seq2
     g2f, g2b, d_seq1 = _bilstm_backward(net.l2f, net.l2b, cache["cache2"], d_fused2)

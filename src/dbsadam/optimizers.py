@@ -17,17 +17,13 @@ import numpy as np
 
 Params = dict[str, np.ndarray]
 
-GRAD_NORM_MODES = ("global_l2", "mean_per_tensor")
-
 
 @dataclass
 class OptimizerConfig:
     """Shared hyperparameters for the Adam family.
 
-    epsilon sits outside the square root by default (denominator
-    sqrt(v_hat) + eps); set eps_inside_sqrt for the sqrt(v_hat + eps)
-    variant. The two differ far below test tolerances at eps = 1e-7 but the
-    placement is pinned for bit-reproducibility.
+    epsilon sits outside the square root, as in Kingma & Ba's Algorithm 1:
+    the denominator is sqrt(v_hat) + eps.
     """
 
     base_lr: float = 0.001
@@ -37,7 +33,6 @@ class OptimizerConfig:
     weight_decay: float = 0.01          # adamw only
     adabound_final_lr: float = 0.1      # adabound only
     adabound_gamma: float = 1e-3        # adabound only
-    eps_inside_sqrt: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -76,9 +71,9 @@ def _squared_norm(g: np.ndarray) -> float:
     return float(np.dot(flat, flat))
 
 
-def _check_shapes(params: Params, grads: Params) -> list[float]:
-    """Validate grads against params and return each gradient's squared L2
-    norm, in grads order.
+def _check_shapes(params: Params, grads: Params) -> float:
+    """Validate grads against params and return the squared L2 norm of the
+    whole gradient, summed tensor by tensor in grads order.
 
     A NaN or inf entry makes its tensor's squared norm non-finite, so the
     elementwise search for the bad index runs only then; a finite tensor
@@ -87,7 +82,7 @@ def _check_shapes(params: Params, grads: Params) -> list[float]:
     if params.keys() != grads.keys():
         missing = sorted(set(params) ^ set(grads))
         raise ValueError(f"params/grads key mismatch: {missing}")
-    norms = []
+    total = 0.0
     for k, g in grads.items():
         if params[k].shape != g.shape:
             raise ValueError(
@@ -99,15 +94,12 @@ def _check_shapes(params: Params, grads: Params) -> list[float]:
         if not math.isfinite(sq) and not np.all(np.isfinite(g)):
             bad = tuple(int(i) for i in np.argwhere(~np.isfinite(g))[0])
             raise ValueError(f"non-finite gradient in {k!r} at index {bad}")
-        norms.append(sq)
-    return norms
+        total += sq
+    return total
 
 
 def _denominator(v_hat: np.ndarray, config: OptimizerConfig) -> np.ndarray:
     """Turn v_hat, in place, into the Adam denominator and return it."""
-    if config.eps_inside_sqrt:
-        v_hat += config.epsilon
-        return np.sqrt(v_hat, out=v_hat)
     np.sqrt(v_hat, out=v_hat)
     v_hat += config.epsilon
     return v_hat
@@ -316,21 +308,10 @@ def scaled_learning_rate(tracker: DifficultyTracker, base_lr: float, difficulty:
     return base_lr * difficulty
 
 
-def _signal_from_norms(squared_norms: list[float], mode: str) -> float:
-    if mode == "global_l2":
-        return float(np.sqrt(sum(squared_norms)))
-    if mode == "mean_per_tensor":
-        return float(np.mean(np.sqrt(squared_norms))) if squared_norms else 0.0
-    raise ValueError(f"unknown grad_norm_mode {mode!r}, expected one of {GRAD_NORM_MODES}")
-
-
-def gradient_signal(grads: Params, mode: str = "global_l2") -> float:
-    """Scalar gradient-magnitude signal for difficulty scoring.
-
-    global_l2 is the L2 norm of the full concatenated gradient;
-    mean_per_tensor averages the per-tensor norms instead.
-    """
-    return _signal_from_norms([_squared_norm(g) for g in grads.values()], mode)
+def gradient_signal(grads: Params) -> float:
+    """Gradient-magnitude signal for difficulty scoring: the L2 norm of the
+    full concatenated gradient."""
+    return math.sqrt(sum(_squared_norm(g) for g in grads.values()))
 
 
 def dbs_adam_step(
@@ -340,13 +321,12 @@ def dbs_adam_step(
     config: OptimizerConfig,
     tracker: DifficultyTracker,
     batch_loss: float,
-    grad_norm_mode: str = "global_l2",
 ) -> float:
     """Difficulty-scaled Adam step; returns the learning rate actually used.
 
     batch_loss must be the mean loss of the same batch that produced grads.
     """
-    grad_norm = _signal_from_norms(_check_shapes(params, grads), grad_norm_mode)
+    grad_norm = math.sqrt(_check_shapes(params, grads))
     difficulty = observe_batch(tracker, grad_norm, batch_loss)
     lr = scaled_learning_rate(tracker, config.base_lr, difficulty)
     _adam_update(params, grads, state, config, lr)

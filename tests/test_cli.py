@@ -77,11 +77,28 @@ class TestExitCodes:
             ("--max_epochs", "0", "--patience", "0"),
             ("--synthetic_samples", "0"),
             ("--synthetic_features", "2"),
+            ("--validation_fraction", "0"),
+            ("--test_fraction", "0"),
+            ("--synthetic_priors", "0.5,0.3,-0.2"),
+            ("--synthetic_priors", ""),
+            ("--synthetic_priors", "0.5,nan,0.2"),
+            # removed keys are unknown flags now
+            ("--eps_inside_sqrt", "true"),
+            ("--grad_norm_mode", "mean_per_tensor"),
+            ("--aggregation", "mean"),
         ]:
             assert main(["train", "--config", config_file, *flags]) == 1, flags
 
     def test_unknown_flag_is_config_error(self):
         assert main(["train", "--definitely-not-a-flag", "1"]) == 1
+
+    def test_empty_validation_split_is_runtime_error(self, config_file, tmp_path, capsys):
+        code = main([
+            "train", "--config", config_file, "--synthetic_samples", "60",
+            "--validation_fraction", "0.01", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "validation split has 0 rows" in capsys.readouterr().err
 
     def test_missing_dataset_file_is_runtime_error(self, tmp_path):
         schema = tmp_path / "s.txt"

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +59,6 @@ class TestConfigValidation:
             {"d_min": 0.0},
             {"d_min": 0.9, "d_max": 0.5},
             {"dataset": "data.csv"},
-            {"grad_norm_mode": "max"},
             {"base_lr": -1.0},
             {"beta1": 1.5},
             {"sequence_chunks": 0},
@@ -78,6 +79,15 @@ class TestConfigValidation:
             {"max_epochs": 0, "patience": 0},
             {"synthetic_samples": 0},
             {"synthetic_features": 2},
+            {"test_fraction": 0.0},
+            {"test_fraction": 1.0},
+            {"validation_fraction": 0.0},
+            {"validation_fraction": -0.1},
+            {"synthetic_priors": ()},
+            {"synthetic_priors": (0.5, 0.3, -0.2)},
+            {"synthetic_priors": (0.5, 0.0, 0.5)},
+            {"synthetic_priors": (0.5, math.nan, 0.2)},
+            {"synthetic_priors": (0.5, math.inf, 0.2)},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -91,14 +101,14 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text(
             "# comment\noptimizer = adam\nbase_lr = 0.01\nseeds = 7, 8, 9\n"
-            "eps_inside_sqrt = true\n",
+            "epsilon = 1e-8\n",
             encoding="utf-8",
         )
         config = load_config(str(path), {"base_lr": "0.02"})
         assert config.optimizer == "adam"
         assert config.base_lr == 0.02  # override wins
         assert config.seeds == (7, 8, 9)
-        assert config.eps_inside_sqrt is True
+        assert config.epsilon == 1e-8
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -115,6 +125,16 @@ class TestConfigFile:
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.cfg")
+
+    def test_readme_key_table_lists_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| group | keys |", 1)[1].split("\n\n", 1)[0]
+        listed = []
+        for row in table.splitlines()[2:]:
+            keys = row.split("|")[2]
+            # parenthesized text holds allowed values, not keys
+            listed += re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys))
+        assert sorted(listed) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 class TestSplits:
@@ -207,6 +227,18 @@ class TestTrain:
         monkeypatch.setattr(harness, "network_backward", boom)
         with pytest.raises(RuntimeError, match=r"seed=1, epoch=1, batch=0"):
             train(tiny_config(), 1)
+
+    @pytest.mark.parametrize(
+        "overrides, split",
+        [
+            ({"synthetic_samples": 60, "validation_fraction": 0.01}, "validation"),
+            ({"test_fraction": 0.001}, "test"),
+        ],
+    )
+    def test_empty_split_named(self, overrides, split):
+        # a positive fraction can still round to 0 rows in every class
+        with pytest.raises(ValueError, match=f"the {split} split has 0 rows"):
+            train(tiny_config(**overrides), 1)
 
     def test_early_stopping_restores_best_epoch_weights(self):
         # a run truncated exactly at the best epoch ends with the same

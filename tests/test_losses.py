@@ -208,6 +208,12 @@ class TestBatchMeanLoss:
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((0, 3)), np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("empty", [[], np.zeros((1, 0)), np.zeros((0, 0))])
+    def test_no_classes_rejected(self, empty):
+        # np.atleast_2d turns a (0,) input into one sample with no classes
+        with pytest.raises(ValueError, match="empty batch"):
+            loss_value(LossConfig(), empty, empty)
+
 
 ALL_CONFIGS = [
     LossConfig(kind="cross_entropy"),

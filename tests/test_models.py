@@ -261,12 +261,6 @@ class TestNetworkBackward:
                              mode="train", mask_seed=13)
         assert err < 1e-5
 
-    def test_mean_aggregation_gradients(self):
-        net = tiny_network(5, aggregation="mean")
-        xs = SeededRng(61).normal(size=(2, 4, 3))
-        labels = one_hot(np.array([2, 1]), 3)
-        assert gradient_check(net, xs, labels, LossConfig(kind="cross_entropy")) < 1e-5
-
     def test_zero_upstream_gives_zero_gradients(self):
         net = tiny_network(6)
         xs = SeededRng(62).normal(size=(2, 4, 3))
@@ -389,7 +383,3 @@ class TestInitialization:
     def test_invalid_dropout_rejected(self):
         with pytest.raises(ValueError):
             tiny_network(1, dropout=1.0)
-
-    def test_invalid_aggregation_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_network(1, aggregation="first")
