@@ -2,7 +2,10 @@
 
 Builds a tiny two-layer bidirectional LSTM classifier, perturbs every single
 parameter with a central difference, and compares against the analytic
-backward pass. The scaled residual folds an absolute tolerance into the
+backward pass, tensor by tensor: each LSTM direction's input weight W_x,
+recurrent weight W_h and bias b, then the dense and output layers. The
+sequences have 4 steps, so W_h is trained and checked too; at one step it
+is never read and net.params(1) leaves it out. The scaled residual folds an absolute tolerance into the
 relative error so coordinates below the finite-difference noise floor do not
 produce false alarms.
 """
@@ -32,7 +35,7 @@ xs = rng.normal(size=(2, 4, 3))  # batch 2, seq len 4
 labels = one_hot(np.array([0, 2]), 3)
 loss_config = LossConfig(kind="focal", gamma=2.0, alpha=0.25)
 
-params = net.params()
+params = net.params(xs.shape[1])
 flat, layout = flatten_arrays(params)
 print(f"network has {flat.size} parameters across {len(layout)} tensors")
 

@@ -9,6 +9,7 @@ the pairing assumption behind the seed-paired t-tests.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -382,7 +383,7 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
         dropout_rate=config.dropout_rate,
         rng=root.child(_STREAM_INIT),
     )
-    params = net.params()
+    params = net.params(x_train.shape[1])
     state = OptimizerState(params)
     opt_config = _from_shared_fields(OptimizerConfig, config)
     is_dbs = config.optimizer == "dbs_adam"
@@ -573,24 +574,40 @@ RUNS_CSV_COLUMNS = (
 )
 
 
+@contextlib.contextmanager
+def _atomic_open(path: str, newline: str | None = None):
+    """Open path + ".tmp" for writing and move it over path with os.replace
+    once the block succeeds: a failed write leaves the previous file intact
+    and no temp file behind."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def emit_report(report: ComparisonReport, out_dir: str, formats: tuple[str, ...] = ("json", "csv")) -> list[str]:
     """Write report.json and/or the flat CSV views; returns the paths written.
 
     Output is deterministic for a given report: keys are sorted in the JSON
-    and rows follow the report's run order.
+    and rows follow the report's run order. Each file is replaced atomically.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     try:
         if "json" in formats:
             path = os.path.join(out_dir, "report.json")
-            with open(path, "w", encoding="utf-8") as fh:
+            with _atomic_open(path) as fh:
                 json.dump(_jsonable(report), fh, sort_keys=True, indent=2)
                 fh.write("\n")
             written.append(path)
         if "csv" in formats:
             path = os.path.join(out_dir, "runs.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with _atomic_open(path, newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(RUNS_CSV_COLUMNS)
                 for run in report.runs:
@@ -607,7 +624,7 @@ def emit_report(report: ComparisonReport, out_dir: str, formats: tuple[str, ...]
                     ])
             written.append(path)
             trace_path = os.path.join(out_dir, "lr_trace.csv")
-            with open(trace_path, "w", encoding="utf-8", newline="") as fh:
+            with _atomic_open(trace_path, newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(("optimizer", "seed", "batch", "learning_rate"))
                 for run in report.runs:

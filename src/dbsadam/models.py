@@ -2,13 +2,15 @@
 
 Architecture: two Bi-LSTM layers -> dropout after each -> the last fused
 timestep -> dense ReLU layer -> dropout -> class logits. Each direction of
-a Bi-LSTM is a standard LSTM cell over the concatenation [h_prev, x], its
-four gates stacked into one weight matrix; the two directions are fused by
+a Bi-LSTM is a standard LSTM cell with its four gates stacked into an input
+weight W_x and a recurrent weight W_h; the two directions are fused by
 elementwise addition per timestep.
 
-Parameters live in ndarrays owned by SequenceNetwork; params() exposes them
-as a flat name -> array dict whose entries the optimizers update in place.
-network_backward returns a gradient dict with the same keys and shapes.
+Parameters live in ndarrays owned by SequenceNetwork; params(steps) exposes
+the ones trained at sequence length steps as a flat name -> array dict whose
+entries the optimizers update in place. network_backward returns a gradient
+dict with the same keys and shapes. At one step the recurrent weights are
+never read (h_0 = 0), so they have no gradient and are left out.
 """
 
 from __future__ import annotations
@@ -24,23 +26,25 @@ GATE_NAMES = ("f", "i", "c", "o")
 
 @dataclass
 class LstmCellParams:
-    """One direction's gate weights, stacked cuDNN-style: W (4H, H + F) acts
-    on the concatenation [h_prev, x] and b has shape (4H,); the row blocks
-    of both are the f, i, c, o gates in that order."""
+    """One direction's gate weights in PyTorch's weight_ih/weight_hh layout:
+    W_x (4H, F) acts on the input x, W_h (4H, H) on h_prev, and b has shape
+    (4H,); the row blocks of all three are the f, i, c, o gates in that
+    order."""
 
-    W: np.ndarray
+    W_x: np.ndarray
+    W_h: np.ndarray
     b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.W.shape[0] // len(GATE_NAMES)
+        return self.W_h.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.W.shape[1] - self.hidden_size
+        return self.W_x.shape[1]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {"W": self.W, "b": self.b}
+        return {"W_x": self.W_x, "W_h": self.W_h, "b": self.b}
 
 
 def _glorot(rng: SeededRng, shape: tuple[int, int]) -> np.ndarray:
@@ -50,12 +54,13 @@ def _glorot(rng: SeededRng, shape: tuple[int, int]) -> np.ndarray:
 
 
 def init_lstm_params(hidden: int, input_size: int, rng: SeededRng) -> LstmCellParams:
-    """Glorot-uniform gate weights, drawn gate by gate with the per-gate
-    limit sqrt(6 / (2H + F)); forget bias starts at 1 so early cell state is
-    carried, other biases at 0."""
-    w = hidden + input_size
+    """Glorot-uniform gate weights, drawn gate by gate over [h_prev, x] with
+    the per-gate limit sqrt(6 / (2H + F)) and split into W_h | W_x; forget
+    bias starts at 1 so early cell state is carried, other biases at 0."""
+    w = np.concatenate([_glorot(rng, (hidden, hidden + input_size)) for _ in GATE_NAMES])
     return LstmCellParams(
-        W=np.concatenate([_glorot(rng, (hidden, w)) for _ in GATE_NAMES]),
+        W_x=w[:, hidden:].copy(),
+        W_h=w[:, :hidden].copy(),
         b=np.concatenate([np.ones(hidden), np.zeros(3 * hidden)]),
     )
 
@@ -69,26 +74,25 @@ def _sequence_forward(cell: LstmCellParams, xs: np.ndarray) -> tuple[np.ndarray,
     """Batched LSTM over xs (B, T, F) from zero initial state.
 
     f, i, o are sigmoid gates and c_tilde the tanh candidate, all computed on
-    z = [h_prev, x] with the stacked W; then c = f*c_prev + i*c_tilde and
-    h = o*tanh(c). The input half of every step's product is hoisted out of
-    the recurrence as one (B*T, F) @ W[:, H:].T product (Appleyard, Kocisky
-    & Blunsom 2016, arXiv:1604.01946); the recurrent half h_prev @ W[:, :H].T
-    is added from t = 1 on, since h_0 = 0. Returns hs (B, T, H) and the
+    x @ W_x.T + h_prev @ W_h.T + b; then c = f*c_prev + i*c_tilde and
+    h = o*tanh(c). The input product of every step is hoisted out of the
+    recurrence as one (B*T, F) @ W_x.T product (Appleyard, Kocisky & Blunsom
+    2016, arXiv:1604.01946); the recurrent product h_prev @ W_h.T is added
+    from t = 1 on, since h_0 = 0. Returns hs (B, T, H) and the
     cache for _sequence_backward: the inputs, the activated gates (B, T, 4H)
     and the cell states (B, T, H).
     """
     batch, steps, n_in = xs.shape
     hidden = cell.hidden_size
-    gates = xs.reshape(batch * steps, n_in) @ cell.W[:, hidden:].T
+    gates = xs.reshape(batch * steps, n_in) @ cell.W_x.T
     gates += cell.b
     gates = gates.reshape(batch, steps, 4 * hidden)  # pre-activations
-    w_h = cell.W[:, :hidden]
     hs = np.empty((batch, steps, hidden))
     cs = np.empty((batch, steps, hidden))
     for t in range(steps):
         a = gates[:, t]
         if t:
-            a += hs[:, t - 1] @ w_h.T
+            a += hs[:, t - 1] @ cell.W_h.T
         a[:, : 2 * hidden] = sigmoid(a[:, : 2 * hidden])  # f, i
         a[:, 3 * hidden :] = sigmoid(a[:, 3 * hidden :])  # o
         f, i, c_tilde, o = _gate_blocks(a, hidden)  # views into gates
@@ -105,15 +109,14 @@ def _sequence_backward(
     """BPTT through one direction given upstream d_hs (B, T, H).
 
     The recurrence only carries the pre-activation gradients da (B, T, 4H)
-    back through h; the input block of dW, db and the input gradient are
-    then one product each over all steps. The recurrent block of dW sums
-    da_t^T h_{t-1} over t >= 1, so it is exactly zero at T = 1. Returns the
+    back through h; dW_x, db and the input gradient are then one product
+    each over all steps. dW_h sums da_t^T h_{t-1} over t >= 1, so it is
+    exactly zero at T = 1 and is formed only for T > 1. Returns the
     gate-parameter gradients and the gradient w.r.t. the inputs (B, T, F),
     or None for it when need_dx is False.
     """
     batch, steps, hidden = d_hs.shape
     xs, gates, cs, hs = cache["xs"], cache["gates"], cache["c"], cache["h"]
-    w_h = cell.W[:, :hidden]
     tanh_cs = np.tanh(cs)
     da = np.empty_like(gates)
     dh_next = dc_next = 0.0
@@ -137,20 +140,17 @@ def _sequence_backward(
         np.multiply(dc_tilde, 1.0 - c_tilde * c_tilde, out=da_c)
         np.multiply(do * o, 1.0 - o, out=da_o)
         if t:
-            dh_next = da[:, t] @ w_h
+            dh_next = da[:, t] @ cell.W_h
 
     n_in = xs.shape[2]
     da_flat = da.reshape(batch * steps, 4 * hidden)
-    dW = np.empty_like(cell.W)
-    # products straight into dW's column blocks: no block-sized temporaries
-    np.matmul(da_flat.T, xs.reshape(batch * steps, n_in), out=dW[:, hidden:])
-    np.matmul(
-        da[:, 1:].reshape(-1, 4 * hidden).T, hs[:, :-1].reshape(-1, hidden), out=dW[:, :hidden]
-    )
-    grads = {"W": dW, "b": da_flat.sum(axis=0)}
+    grads = {"W_x": da_flat.T @ xs.reshape(batch * steps, n_in)}
+    if steps > 1:
+        grads["W_h"] = da[:, 1:].reshape(-1, 4 * hidden).T @ hs[:, :-1].reshape(-1, hidden)
+    grads["b"] = da_flat.sum(axis=0)
     if not need_dx:
         return grads, None
-    return grads, (da_flat @ cell.W[:, hidden:]).reshape(batch, steps, n_in)
+    return grads, (da_flat @ cell.W_x).reshape(batch, steps, n_in)
 
 
 def bilstm_layer_forward(
@@ -227,12 +227,17 @@ class SequenceNetwork:
         self.head_w = _glorot(rng, (n_classes, dense_units))
         self.head_b = np.zeros(n_classes)
 
-    def params(self) -> dict[str, np.ndarray]:
-        """Live views of every parameter tensor, keyed by a stable name."""
+    def params(self, steps: int | None = None) -> dict[str, np.ndarray]:
+        """Live views of the tensors trained at sequence length steps, keyed
+        by a stable name: every tensor, except that at steps == 1 the four
+        recurrent W_h are left out, since no output reads them. An optimizer
+        stepping these params leaves W_h at its initial values, so AdamW
+        does not decay it. With steps omitted, every tensor is returned."""
         out: dict[str, np.ndarray] = {}
         for prefix, cell in (("l1f", self.l1f), ("l1b", self.l1b), ("l2f", self.l2f), ("l2b", self.l2b)):
             for name, arr in cell.tensors().items():
-                out[f"{prefix}.{name}"] = arr
+                if name != "W_h" or steps != 1:
+                    out[f"{prefix}.{name}"] = arr
         out["dense.W"] = self.dense_w
         out["dense.b"] = self.dense_b
         out["head.W"] = self.head_w
@@ -295,7 +300,8 @@ def network_forward(
 
 
 def network_backward(net: SequenceNetwork, cache: dict, d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients for every parameter given d(loss)/d(logits).
+    """Exact gradients for the parameters of net.params(T), T the cached
+    sequence length, given d(loss)/d(logits).
 
     The cache must come from a forward call on the same network; batch and
     class dimensions are validated against it.

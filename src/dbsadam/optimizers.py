@@ -80,8 +80,10 @@ def _check_shapes(params: Params, grads: Params) -> float:
     whose squared norm overflows passes.
     """
     if params.keys() != grads.keys():
-        missing = sorted(set(params) ^ set(grads))
-        raise ValueError(f"params/grads key mismatch: {missing}")
+        raise ValueError(
+            f"params/grads key mismatch: missing from grads {sorted(params.keys() - grads.keys())}, "
+            f"missing from params {sorted(grads.keys() - params.keys())}"
+        )
     total = 0.0
     for k, g in grads.items():
         if params[k].shape != g.shape:
@@ -243,8 +245,10 @@ class DifficultyTracker:
             raise ValueError(f"need 0 < d_min <= d_max, got [{self.d_min}, {self.d_max}]")
         if not (0.0 <= self.alpha_mix <= 1.0):
             raise ValueError(f"alpha_mix must lie in [0, 1], got {self.alpha_mix}")
-        if self.clip_k <= 0:
-            raise ValueError(f"clip_k must be positive, got {self.clip_k}")
+        if not 0.0 < self.clip_k < math.inf:
+            raise ValueError(f"clip_k must be positive and finite, got {self.clip_k}")
+        if not self.norm_epsilon > 0.0:
+            raise ValueError(f"norm_epsilon must be positive, got {self.norm_epsilon}")
         if not (0.0 <= self.ema_beta < 1.0):
             raise ValueError(f"ema_beta must lie in [0, 1), got {self.ema_beta}")
         if self.warmup_batches < 0:
@@ -273,25 +277,31 @@ def observe_batch(tracker: DifficultyTracker, grad_norm: float, batch_loss: floa
     Update order per step: mean EMA first, then deviation EMA against the
     freshly updated mean, then the z-score. Statistics start at the first
     observation (mean = value, deviation = 0). Warm-up batches still update
-    statistics but score as the neutral midpoint.
+    statistics but score as the neutral midpoint. A non-finite signal, or one
+    so far from the running mean (beyond ~1e308) that a statistic would
+    overflow, raises ValueError and leaves the tracker unchanged.
     """
-    if grad_norm < 0:
-        raise ValueError(f"gradient norm must be >= 0, got {grad_norm}")
+    if not (math.isfinite(grad_norm) and grad_norm >= 0):
+        raise ValueError(f"gradient norm must be finite and >= 0, got {grad_norm}")
     if not np.isfinite(batch_loss):
         raise ValueError(f"batch loss must be finite, got {batch_loss}")
 
     one_minus_beta = 1.0 - tracker.ema_beta
     if tracker.batches_seen == 0:
-        tracker.mu_g = float(grad_norm)
-        tracker.mu_l = float(batch_loss)
-        tracker.sigma_g = 0.0
-        tracker.sigma_l = 0.0
+        stats = (float(grad_norm), 0.0, float(batch_loss), 0.0)
     else:
         # incremental form mu += (1-beta)(x - mu): exact no-op when x == mu
-        tracker.mu_g += one_minus_beta * (grad_norm - tracker.mu_g)
-        tracker.sigma_g += one_minus_beta * (abs(grad_norm - tracker.mu_g) - tracker.sigma_g)
-        tracker.mu_l += one_minus_beta * (batch_loss - tracker.mu_l)
-        tracker.sigma_l += one_minus_beta * (abs(batch_loss - tracker.mu_l) - tracker.sigma_l)
+        mu_g = tracker.mu_g + one_minus_beta * (grad_norm - tracker.mu_g)
+        sigma_g = tracker.sigma_g + one_minus_beta * (abs(grad_norm - mu_g) - tracker.sigma_g)
+        mu_l = tracker.mu_l + one_minus_beta * (batch_loss - tracker.mu_l)
+        sigma_l = tracker.sigma_l + one_minus_beta * (abs(batch_loss - mu_l) - tracker.sigma_l)
+        stats = (mu_g, sigma_g, mu_l, sigma_l)
+    if not all(map(math.isfinite, stats)):
+        raise ValueError(
+            f"batch signals (gradient norm {grad_norm}, loss {batch_loss}) overflow the "
+            f"running statistics (means {tracker.mu_g}, {tracker.mu_l})"
+        )
+    tracker.mu_g, tracker.sigma_g, tracker.mu_l, tracker.sigma_l = stats
     tracker.batches_seen += 1
 
     if tracker.batches_seen <= tracker.warmup_batches:

@@ -88,6 +88,8 @@ class TestConfigValidation:
             {"synthetic_priors": (0.5, 0.0, 0.5)},
             {"synthetic_priors": (0.5, math.nan, 0.2)},
             {"synthetic_priors": (0.5, math.inf, 0.2)},
+            {"clip_k": math.inf},
+            {"norm_epsilon": 0.0},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -343,6 +345,38 @@ class TestEmitReport:
         emit_report(report, str(tmp_path / "b"))
         for name in ("report.json", "runs.csv", "lr_trace.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("victim", ["report.json", "runs.csv", "lr_trace.csv"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, victim):
+        from dbsadam import harness
+
+        report = compare_optimizers(tiny_config(optimizers=("adam", "dbs_adam")), seeds=(1, 2))
+        emit_report(report, str(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        class FullDisk:
+            # writes a few characters, then fails as a full disk would
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[:5])
+                raise OSError(28, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            return FullDisk(fh) if Path(path).name.startswith(victim) else fh
+
+        monkeypatch.setattr(harness, "open", failing_open, raising=False)
+        with pytest.raises(RuntimeError, match="No space left"):
+            emit_report(report, str(tmp_path))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_csv_row_count(self, tmp_path):
         report = compare_optimizers(tiny_config(optimizers=("adam", "adamw")), seeds=(1, 2))

@@ -24,7 +24,7 @@ from dbsadam.numerics import (
 
 
 def zero_cell(hidden, inputs):
-    return LstmCellParams(np.zeros((4 * hidden, hidden + inputs)), np.zeros(4 * hidden))
+    return LstmCellParams(np.zeros((4 * hidden, inputs)), np.zeros((4 * hidden, hidden)), np.zeros(4 * hidden))
 
 
 def random_cell(hidden, inputs, seed):
@@ -33,9 +33,11 @@ def random_cell(hidden, inputs, seed):
 
 def oracle_cell_step(params, h_prev, c_prev, x):
     # literal transcription of the gate equations on row blocks of the
-    # stacked weights, kept independent of the implementation under test
+    # weights stacked over [h_prev, x], kept independent of the
+    # implementation under test
     hidden = h_prev.shape[0]
-    W_f, W_i, W_c, W_o = (params.W[g * hidden:(g + 1) * hidden] for g in range(4))
+    W = np.hstack([params.W_h, params.W_x])
+    W_f, W_i, W_c, W_o = (W[g * hidden:(g + 1) * hidden] for g in range(4))
     b_f, b_i, b_c, b_o = (params.b[g * hidden:(g + 1) * hidden] for g in range(4))
     z = np.concatenate([h_prev, x])
     f = 1.0 / (1.0 + np.exp(-(W_f @ z + b_f)))
@@ -231,7 +233,12 @@ def gradient_check(net, xs, labels, loss_config, mode="eval", mask_seed=0, tol=1
     rng = SeededRng(mask_seed) if mode == "train" else None
     logits, cache = network_forward(net, xs, mode=mode, rng=rng)
     grads = network_backward(net, cache, loss_gradient(loss_config, logits, labels))
-    analytic, _ = flatten_arrays({k: grads[k] for k in params})
+    assert grads.keys() == net.params(xs.shape[1]).keys()
+    # every tensor is perturbed; one with no analytic entry (W_h at T = 1)
+    # must have a numeric derivative of exactly 0
+    analytic, _ = flatten_arrays({k: grads.get(k, np.zeros_like(v)) for k, v in params.items()})
+    untrained = np.concatenate([np.full(v.size, k not in grads) for k, v in params.items()])
+    assert np.all(numeric[untrained] == 0.0)
     # scaled residual: < 1e-5 iff |a - n| < 1e-8 + 1e-5 * max(|a|, |n|); the
     # absolute escape covers coordinates below the h=1e-5 central-difference
     # noise floor (~1e-11) where a pure ratio is meaningless
@@ -293,17 +300,42 @@ class TestNetworkBackward:
             xs = SeededRng(seed + 50).normal(size=(3, steps, 3))
             assert gradient_check(net, xs, labels, config) < 1e-5
 
-    def test_recurrent_weight_gradient_is_exactly_zero_at_one_step(self):
-        # h_0 = 0, so at T = 1 no loss depends on the W[:, :H] block
+    def test_recurrent_weights_do_not_reach_one_step_logits(self):
+        # h_0 = 0, so at T = 1 no output reads W_h: perturbing every W_h
+        # leaves the logits bit-identical in both modes
         net = tiny_network(23, dropout=0.3)
         xs = SeededRng(73).normal(size=(4, 1, 3))
-        logits, cache = network_forward(net, xs, mode="train", rng=SeededRng(3))
-        labels = one_hot(np.array([0, 1, 2, 1]), 3)
-        grads = network_backward(net, cache, loss_gradient(LossConfig(kind="cross_entropy"), logits, labels))
+        before = [network_forward(net, xs, mode=m, rng=SeededRng(3))[0] for m in ("train", "eval")]
         for prefix in ("l1f", "l1b", "l2f", "l2b"):
-            hidden = getattr(net, prefix).hidden_size
-            assert np.all(grads[f"{prefix}.W"][:, :hidden] == 0.0), prefix
-            assert np.any(grads[f"{prefix}.W"][:, hidden:] != 0.0), prefix
+            getattr(net, prefix).W_h[...] += SeededRng(74).normal(size=getattr(net, prefix).W_h.shape)
+        after = [network_forward(net, xs, mode=m, rng=SeededRng(3))[0] for m in ("train", "eval")]
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_gradient_keys_are_the_trained_params(self, steps):
+        net = tiny_network(24, dropout=0.3)
+        xs = SeededRng(75).normal(size=(2, steps, 3))
+        logits, cache = network_forward(net, xs, mode="train", rng=SeededRng(4))
+        grads = network_backward(net, cache, np.ones_like(logits))
+        assert grads.keys() == net.params(steps).keys()
+        has_w_h = {k for k in net.params() if k.endswith(".W_h")} <= grads.keys()
+        assert has_w_h == (steps > 1)
+
+    def test_adamw_leaves_recurrent_weights_at_init_on_one_step_rows(self):
+        from dbsadam.optimizers import OptimizerConfig, OptimizerState, adamw_step
+
+        net = tiny_network(25)
+        w_h = {k: v.copy() for k, v in net.params().items() if k.endswith(".W_h")}
+        params = net.params(1)
+        state = OptimizerState(params)
+        xs = SeededRng(76).normal(size=(3, 1, 3))
+        for _ in range(3):
+            logits, cache = network_forward(net, xs)
+            adamw_step(params, network_backward(net, cache, np.ones_like(logits)), state, OptimizerConfig())
+        for k, v in w_h.items():
+            assert np.array_equal(net.params()[k], v), k
+        assert not np.array_equal(net.params()["l1f.W_x"], tiny_network(25).l1f.W_x)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -330,26 +362,30 @@ class TestNetworkBackward:
         xs = rng.normal(size=(batch, steps, inputs))
         upstream = rng.normal(size=(batch, steps, hidden))
 
-        def loss(W, b, x):
-            return float(np.sum(upstream * _sequence_forward(LstmCellParams(W, b), x)[0]))
+        def loss(W_x, W_h, b, x):
+            return float(np.sum(upstream * _sequence_forward(LstmCellParams(W_x, W_h, b), x)[0]))
 
         hs, cache = _sequence_forward(cell, xs)
         grads, dxs = _sequence_backward(cell, cache, upstream)
         skipped, none = _sequence_backward(cell, cache, upstream, need_dx=False)
         assert none is None
         numeric = {
-            "W": finite_difference_gradient(
-                lambda w: loss(w.reshape(cell.W.shape), cell.b, xs), cell.W.ravel()),
-            "b": finite_difference_gradient(lambda b: loss(cell.W, b, xs), cell.b),
+            "W_x": finite_difference_gradient(
+                lambda w: loss(w.reshape(cell.W_x.shape), cell.W_h, cell.b, xs), cell.W_x.ravel()),
+            "W_h": finite_difference_gradient(
+                lambda w: loss(cell.W_x, w.reshape(cell.W_h.shape), cell.b, xs), cell.W_h.ravel()),
+            "b": finite_difference_gradient(lambda b: loss(cell.W_x, cell.W_h, b, xs), cell.b),
             "x": finite_difference_gradient(
-                lambda x: loss(cell.W, cell.b, x.reshape(xs.shape)), xs.ravel()),
+                lambda x: loss(cell.W_x, cell.W_h, cell.b, x.reshape(xs.shape)), xs.ravel()),
         }
-        for name, analytic in (("W", grads["W"]), ("b", grads["b"]), ("x", dxs)):
+        if steps == 1:
+            # no output reads W_h, so it gets no gradient entry
+            assert "W_h" not in grads and np.all(numeric["W_h"] == 0.0)
+        for name, analytic in (*grads.items(), ("x", dxs)):
             assert np.allclose(analytic.ravel(), numeric[name], rtol=1e-6, atol=1e-8), name
+        assert skipped.keys() == grads.keys()
         for name in grads:
             assert np.array_equal(skipped[name], grads[name])
-        if steps == 1:
-            assert np.all(grads["W"][:, :hidden] == 0.0)
 
     def test_mismatched_cache_rejected(self):
         net = tiny_network(8)
@@ -365,14 +401,16 @@ class TestInitialization:
         assert np.all(cell.b[4:] == 0.0)
 
     def test_stacked_rows_are_successive_per_gate_glorot_draws(self):
-        # the stacked layout keeps the per-gate draw order (f, i, c, o) and
-        # the per-gate limit sqrt(6 / (2H + F)) of four separate matrices
+        # [W_h | W_x] keeps the per-gate draw order (f, i, c, o) and the
+        # per-gate limit sqrt(6 / (2H + F)) of four separate matrices
         cell = init_lstm_params(4, 3, SeededRng(9))
         rng = SeededRng(9)
-        assert cell.W.shape == (16, 7) and cell.b.shape == (16,)
+        assert cell.W_x.shape == (16, 3) and cell.W_h.shape == (16, 4) and cell.b.shape == (16,)
+        stacked = np.hstack([cell.W_h, cell.W_x])
         for g in range(4):
-            assert np.array_equal(cell.W[4 * g:4 * (g + 1)], _glorot(rng, (4, 7)))
-        assert np.max(np.abs(cell.W)) <= np.sqrt(6.0 / (2 * 4 + 3))
+            assert np.array_equal(stacked[4 * g:4 * (g + 1)], _glorot(rng, (4, 7)))
+        assert np.max(np.abs(stacked)) <= np.sqrt(6.0 / (2 * 4 + 3))
+        assert cell.W_x.flags.c_contiguous and cell.W_h.flags.c_contiguous
 
     def test_seeded_init_reproducible(self):
         a = tiny_network(11)

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbsadam.numerics import SeededRng
 from dbsadam.optimizers import (
@@ -93,6 +97,17 @@ class TestAdam:
         params = {"w": np.zeros(3)}
         with pytest.raises(ValueError, match="shape mismatch"):
             adam_step(params, {"w": np.zeros(4)}, OptimizerState(params), OptimizerConfig())
+
+    def test_key_mismatch_names_each_side(self):
+        # e.g. the full net.params() stepped with the gradients of one-step rows
+        params = {"l1f.W_x": np.zeros(2), "l1f.W_h": np.zeros(2), "b": np.zeros(1)}
+        grads = {"l1f.W_x": np.zeros(2), "extra": np.zeros(1), "b": np.zeros(1)}
+        with pytest.raises(ValueError) as info:
+            adam_step(params, grads, OptimizerState(params), OptimizerConfig())
+        assert str(info.value) == (
+            "params/grads key mismatch: missing from grads ['l1f.W_h'], "
+            "missing from params ['extra']"
+        )
 
 
 class TestAmsgrad:
@@ -240,6 +255,54 @@ class TestDifficultyTracker:
         with pytest.raises(ValueError):
             observe_batch(DifficultyTracker(), 1.0, float("nan"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_grad_norm_rejected_before_any_update(self, bad):
+        tracker = warmed_tracker()
+        before = dataclasses.asdict(tracker)
+        with pytest.raises(ValueError, match="gradient norm must be finite"):
+            observe_batch(tracker, bad, 1.0)
+        assert dataclasses.asdict(tracker) == before
+
+    def test_overflowing_statistics_rejected_before_any_update(self):
+        tracker = DifficultyTracker()
+        observe_batch(tracker, 1.0, 1.7e308)
+        before = dataclasses.asdict(tracker)
+        with pytest.raises(ValueError, match="overflow"):
+            observe_batch(tracker, 1.0, -1.7e308)
+        assert dataclasses.asdict(tracker) == before
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ema_beta=st.floats(0.0, 1.0, exclude_max=True),
+        alpha_mix=st.floats(0.0, 1.0),
+        clip_k=st.floats(0.0, 1e300, exclude_min=True),
+        norm_epsilon=st.floats(0.0, 1e300, exclude_min=True),
+        bounds=st.lists(st.floats(0.0, 1e300, exclude_min=True), min_size=2, max_size=2).map(sorted),
+        warmup=st.integers(0, 5),
+        stream=st.lists(
+            st.tuples(st.floats(0.0, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_difficulty_always_within_bounds(
+        self, ema_beta, alpha_mix, clip_k, norm_epsilon, bounds, warmup, stream
+    ):
+        # any finite stream: every difficulty lies in [d_min, d_max]; a batch
+        # is rejected only when its distance from a mean overflows, i.e. near
+        # the float maximum, and the rejection changes nothing
+        tracker = DifficultyTracker(ema_beta=ema_beta, alpha_mix=alpha_mix, clip_k=clip_k,
+                                    norm_epsilon=norm_epsilon, d_min=bounds[0], d_max=bounds[1],
+                                    warmup_batches=warmup)
+        for grad_norm, loss in stream:
+            before = dataclasses.asdict(tracker)
+            try:
+                d = observe_batch(tracker, grad_norm, loss)
+            except ValueError:
+                assert dataclasses.asdict(tracker) == before
+                assert max(abs(grad_norm), abs(loss), abs(tracker.mu_g), abs(tracker.mu_l)) > 8e307
+                continue
+            assert bounds[0] <= d <= bounds[1]
+
     def test_output_always_clipped_and_sigmas_nonnegative(self):
         tracker = DifficultyTracker(d_min=0.2, d_max=0.8)
         rng = SeededRng(13)
@@ -265,6 +328,14 @@ class TestDifficultyTracker:
             DifficultyTracker(d_min=0.0)
         with pytest.raises(ValueError):
             DifficultyTracker(d_min=0.9, d_max=0.5)
+
+    @pytest.mark.parametrize("field", [
+        {"clip_k": np.inf}, {"clip_k": np.nan}, {"norm_epsilon": 0.0}, {"norm_epsilon": np.nan},
+    ])
+    def test_invalid_scales_rejected(self, field):
+        # clip_k = inf rescales to inf / inf and norm_epsilon = 0 divides 0 by 0
+        with pytest.raises(ValueError):
+            DifficultyTracker(**field)
 
 
 class TestScaledLearningRate:
