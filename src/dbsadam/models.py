@@ -229,10 +229,10 @@ class SequenceNetwork:
 
     def params(self, steps: int | None = None) -> dict[str, np.ndarray]:
         """Live views of the tensors trained at sequence length steps, keyed
-        by a stable name: every tensor, except that at steps == 1 the four
-        recurrent W_h are left out, since no output reads them. An optimizer
-        stepping these params leaves W_h at its initial values, so AdamW
-        does not decay it. With steps omitted, every tensor is returned."""
+        by a stable name. At steps == 1 the four recurrent W_h are left out:
+        no output reads them, so an optimizer stepping these params leaves
+        them at their initial values (AdamW does not decay them). With steps
+        omitted, every tensor is returned."""
         out: dict[str, np.ndarray] = {}
         for prefix, cell in (("l1f", self.l1f), ("l1b", self.l1b), ("l2f", self.l2f), ("l2b", self.l2b)):
             for name, arr in cell.tensors().items():
