@@ -4,10 +4,12 @@ Builds a tiny two-layer bidirectional LSTM classifier, perturbs every single
 parameter with a central difference, and compares against the analytic
 backward pass, tensor by tensor: each LSTM direction's input weight W_x,
 recurrent weight W_h and bias b, then the dense and output layers. The
-sequences have 4 steps, so W_h is trained and checked too; at one step it
-is never read and net.params(1) leaves it out. The scaled residual folds an absolute tolerance into the
-relative error so coordinates below the finite-difference noise floor do not
-produce false alarms.
+sequences have 4 steps, so W_h is trained and checked too, except in layer
+2's backward direction l2b: the dense layer reads only the last fused step,
+where l2b has run one step, so its W_h is never read and net.params(T)
+leaves it out at every T (at one step, every W_h is left out). The scaled
+residual folds an absolute tolerance into the relative error so coordinates
+below the finite-difference noise floor do not produce false alarms.
 """
 
 import numpy as np

@@ -62,7 +62,6 @@ from .losses import (
 from .models import (
     LstmCellParams,
     SequenceNetwork,
-    bilstm_layer_forward,
     init_lstm_params,
     network_backward,
     network_forward,

@@ -149,6 +149,8 @@ class ExperimentConfig:
         for name in self.optimizers:
             if name not in OPTIMIZER_NAMES:
                 raise ConfigError(f"unknown optimizer {name!r} in comparison list")
+        if len(set(self.optimizers)) != len(self.optimizers):
+            raise ConfigError(f"optimizers must be distinct, got {self.optimizers}")
         if self.resampler not in RESAMPLERS:
             raise ConfigError(f"unknown resampler {self.resampler!r}, expected one of {RESAMPLERS}")
         if self.loss not in LOSS_KINDS:
@@ -180,10 +182,17 @@ class ExperimentConfig:
                 )
         try:
             _from_shared_fields(OptimizerConfig, self)
-            _from_shared_fields(DifficultyTracker, self)
+            tracker = _from_shared_fields(DifficultyTracker, self)
             LossConfig(kind="focal", gamma=self.gamma, alpha=self.focal_alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # every sweep cell runs a tracker with one grid value swapped in
+        for key, name in (("beta_grid", "ema_beta"), ("alpha_grid", "alpha_mix")):
+            for value in getattr(self, key):
+                try:
+                    replace(tracker, **{name: value})
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _from_shared_fields(cls, config: ExperimentConfig):
@@ -491,7 +500,7 @@ def compare_optimizers(
 
     report = ComparisonReport()
     by_name: dict[str, list[RunResult]] = {}
-    for name in dict.fromkeys(config.optimizers):  # unique, order kept
+    for name in config.optimizers:
         cfg = replace(config, optimizer=name)
         runs = [train(cfg, seed) for seed in seeds]
         by_name[name] = runs
@@ -517,9 +526,9 @@ def sensitivity_sweep(
 ) -> ComparisonReport:
     """Cross-product sweep of the EMA decay and mix weight for the
     difficulty-scaled optimizer; each cell aggregates over the sweep seeds."""
-    config.validate()
     betas = tuple(beta_grid) if beta_grid is not None else config.beta_grid
     alphas = tuple(alpha_grid) if alpha_grid is not None else config.alpha_grid
+    replace(config, beta_grid=betas, alpha_grid=alphas).validate()
     if not betas or not alphas:
         raise ConfigError("sweep grids must be non-empty")
     if seeds is None:

@@ -4,13 +4,15 @@ Architecture: two Bi-LSTM layers -> dropout after each -> the last fused
 timestep -> dense ReLU layer -> dropout -> class logits. Each direction of
 a Bi-LSTM is a standard LSTM cell with its four gates stacked into an input
 weight W_x and a recurrent weight W_h; the two directions are fused by
-elementwise addition per timestep.
+elementwise addition per timestep. Layer 2 passes on only its last step,
+where its backward direction l2b has read one input, so l2b runs that step.
 
 Parameters live in ndarrays owned by SequenceNetwork; params(steps) exposes
 the ones trained at sequence length steps as a flat name -> array dict whose
 entries the optimizers update in place. network_backward returns a gradient
-dict with the same keys and shapes. At one step the recurrent weights are
-never read (h_0 = 0), so they have no gradient and are left out.
+dict with the same keys and shapes. A direction that runs one step never
+reads its W_h (h_0 = 0), so that W_h has no gradient and is left out: all
+four at one step, and l2b's at every length.
 """
 
 from __future__ import annotations
@@ -153,52 +155,14 @@ def _sequence_backward(
     return grads, (da_flat @ cell.W_x).reshape(batch, steps, n_in)
 
 
-def bilstm_layer_forward(
-    fwd: LstmCellParams, bwd: LstmCellParams, xs: np.ndarray
-) -> np.ndarray:
-    """Bidirectional pass with additive fusion: out_t = h_fwd_t + h_bwd_t.
-
-    Accepts one sequence (T, F) or a batch (B, T, F) and returns matching
-    leading dimensions.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    single = xs.ndim == 2
-    if single:
-        xs = xs[None, :, :]
-    if xs.shape[1] == 0:
-        raise ValueError("empty sequence")
-    if xs.shape[2] != fwd.input_size:
-        raise ValueError(f"input width {xs.shape[2]} does not match cell input {fwd.input_size}")
-    fused, _ = _bilstm_forward(fwd, bwd, xs)
-    return fused[0] if single else fused
-
-
-def _bilstm_forward(
-    fwd: LstmCellParams, bwd: LstmCellParams, xs: np.ndarray
-) -> tuple[np.ndarray, dict]:
-    hs_f, cache_f = _sequence_forward(fwd, xs)
-    hs_b_rev, cache_b = _sequence_forward(bwd, xs[:, ::-1, :].copy())
-    fused = hs_f + hs_b_rev[:, ::-1, :]
-    return fused, {"f": cache_f, "b": cache_b}
-
-
-def _bilstm_backward(
-    fwd: LstmCellParams, bwd: LstmCellParams, cache: dict, d_fused: np.ndarray, need_dx: bool = True
-) -> tuple[dict, dict, np.ndarray | None]:
-    # additive fusion sends the upstream gradient to both directions intact
-    grads_f, dx_f = _sequence_backward(fwd, cache["f"], d_fused, need_dx)
-    grads_b, dx_b_rev = _sequence_backward(bwd, cache["b"], d_fused[:, ::-1, :].copy(), need_dx)
-    dxs = dx_f + dx_b_rev[:, ::-1, :] if need_dx else None
-    return grads_f, grads_b, dxs
-
-
 class SequenceNetwork:
     """Bi-LSTM (hidden1) -> dropout -> Bi-LSTM (hidden2) -> dropout ->
     last timestep -> dense ReLU -> dropout -> logits.
 
     Dropout is inverted (masks scaled by 1/keep at train time) so eval mode
     is a plain pass-through. Only the final fused timestep of the second
-    Bi-LSTM feeds the dense layer.
+    Bi-LSTM feeds the dense layer, so its backward direction l2b runs just
+    the one step over the last input.
     """
 
     def __init__(
@@ -229,14 +193,15 @@ class SequenceNetwork:
 
     def params(self, steps: int | None = None) -> dict[str, np.ndarray]:
         """Live views of the tensors trained at sequence length steps, keyed
-        by a stable name. At steps == 1 the four recurrent W_h are left out:
-        no output reads them, so an optimizer stepping these params leaves
-        them at their initial values (AdamW does not decay them). With steps
-        omitted, every tensor is returned."""
+        by a stable name. The W_h of a direction that runs one step is left
+        out: all four at steps == 1, and l2b's at every steps. No output
+        reads it, so an optimizer stepping these params leaves it at its
+        initial value (AdamW does not decay it). With steps omitted, every
+        tensor is returned."""
         out: dict[str, np.ndarray] = {}
         for prefix, cell in (("l1f", self.l1f), ("l1b", self.l1b), ("l2f", self.l2f), ("l2b", self.l2b)):
             for name, arr in cell.tensors().items():
-                if name != "W_h" or steps != 1:
+                if name != "W_h" or steps is None or (steps > 1 and prefix != "l2b"):
                     out[f"{prefix}.{name}"] = arr
         out["dense.W"] = self.dense_w
         out["dense.b"] = self.dense_b
@@ -264,21 +229,30 @@ def network_forward(
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[2] != net.input_size:
         raise ValueError(f"expected input (B, T, {net.input_size}), got {xs.shape}")
+    if xs.shape[1] == 0:
+        raise ValueError("empty sequence")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     dropping = mode == "train" and net.dropout_rate > 0.0
     if mode == "train" and rng is None:
         raise ValueError("train mode requires an rng for dropout masks")
 
-    fused1, cache1 = _bilstm_forward(net.l1f, net.l1b, xs)
+    hs1f, cache1f = _sequence_forward(net.l1f, xs)
+    hs1b, cache1b = _sequence_forward(net.l1b, xs[:, ::-1].copy())
+    fused1 = hs1f + hs1b[:, ::-1]
     mask1 = _dropout_mask(rng, fused1.shape, net.dropout_rate) if dropping else None
     seq1 = fused1 * mask1 if dropping else fused1
 
-    fused2, cache2 = _bilstm_forward(net.l2f, net.l2b, seq1)
-    mask2 = _dropout_mask(rng, fused2.shape, net.dropout_rate) if dropping else None
-    seq2 = fused2 * mask2 if dropping else fused2
+    # the dense layer reads only the last fused step, where the backward
+    # direction has read seq1[:, -1] alone, so l2b runs that one step
+    hs2f, cache2f = _sequence_forward(net.l2f, seq1)
+    hs2b, cache2b = _sequence_forward(net.l2b, seq1[:, -1:])
+    fused2 = hs2f[:, -1] + hs2b[:, 0]
+    # mask2 is drawn over every step although only the last is used: a
+    # smaller draw would shift every later mask and batch, so every run
+    mask2 = _dropout_mask(rng, hs2f.shape, net.dropout_rate)[:, -1] if dropping else None
+    pooled = fused2 * mask2 if dropping else fused2
 
-    pooled = seq2[:, -1, :]
     pre = pooled @ net.dense_w.T + net.dense_b
     act = np.maximum(pre, 0.0)
     mask3 = _dropout_mask(rng, act.shape, net.dropout_rate) if dropping else None
@@ -286,15 +260,8 @@ def network_forward(
 
     logits = act_d @ net.head_w.T + net.head_b
     cache = {
-        "xs_shape": xs.shape,
-        "cache1": cache1,
-        "cache2": cache2,
-        "mask1": mask1,
-        "mask2": mask2,
-        "mask3": mask3,
-        "pre": pre,
-        "pooled": pooled,
-        "act_d": act_d,
+        "xs_shape": xs.shape, "l1f": cache1f, "l1b": cache1b, "l2f": cache2f, "l2b": cache2b,
+        "mask1": mask1, "mask2": mask2, "mask3": mask3, "pre": pre, "pooled": pooled, "act_d": act_d,
     }
     return logits, cache
 
@@ -326,15 +293,18 @@ def network_backward(net: SequenceNetwork, cache: dict, d_logits: np.ndarray) ->
     grads["dense.b"] = d_pre.sum(axis=0)
     d_pooled = d_pre @ net.dense_w
 
-    d_seq2 = np.zeros((batch, steps, net.l2f.hidden_size))
-    d_seq2[:, -1, :] = d_pooled
-
-    d_fused2 = d_seq2 * cache["mask2"] if cache["mask2"] is not None else d_seq2
-    g2f, g2b, d_seq1 = _bilstm_backward(net.l2f, net.l2b, cache["cache2"], d_fused2)
+    # additive fusion sends the upstream gradient to both directions intact
+    d_fused2 = d_pooled * cache["mask2"] if cache["mask2"] is not None else d_pooled
+    d_hs2f = np.zeros((batch, steps, net.l2f.hidden_size))
+    d_hs2f[:, -1] = d_fused2
+    g2f, d_seq1 = _sequence_backward(net.l2f, cache["l2f"], d_hs2f)
+    g2b, d_last = _sequence_backward(net.l2b, cache["l2b"], d_fused2[:, None])
+    d_seq1[:, -1] += d_last[:, 0]
 
     d_fused1 = d_seq1 * cache["mask1"] if cache["mask1"] is not None else d_seq1
-    # the network input needs no gradient, so layer 1 skips its da @ W
-    g1f, g1b, _ = _bilstm_backward(net.l1f, net.l1b, cache["cache1"], d_fused1, need_dx=False)
+    # the network input needs no gradient, so layer 1 skips its da @ W_x
+    g1f, _ = _sequence_backward(net.l1f, cache["l1f"], d_fused1, need_dx=False)
+    g1b, _ = _sequence_backward(net.l1b, cache["l1b"], d_fused1[:, ::-1].copy(), need_dx=False)
 
     for prefix, cell_grads in (("l1f", g1f), ("l1b", g1b), ("l2f", g2f), ("l2b", g2b)):
         for name, arr in cell_grads.items():

@@ -155,7 +155,11 @@ def _network_gradient_error(seed: int, loss_config: LossConfig) -> float:
     assign(base)
     logits, cache = network_forward(net, xs)
     grads = network_backward(net, cache, loss_gradient(loss_config, logits, labels))
-    analytic, _ = flatten_arrays({k: grads[k] for k in params})
+    # a tensor with no gradient (l2b.W_h, which no output reads) is
+    # untrained: its numeric derivative must be exactly 0
+    analytic, _ = flatten_arrays({k: grads.get(k, np.zeros_like(v)) for k, v in params.items()})
+    untrained = np.concatenate([np.full(v.size, k not in grads) for k, v in params.items()])
+    assert np.all(numeric[untrained] == 0.0)
     # scaled residual: < 1e-5 iff |a - n| < 1e-8 + 1e-5 * max(|a|, |n|); the
     # absolute escape covers coordinates below the central-difference noise
     # floor at h = 1e-5

@@ -82,6 +82,9 @@ class TestExitCodes:
             ("--synthetic_priors", "0.5,0.3,-0.2"),
             ("--synthetic_priors", ""),
             ("--synthetic_priors", "0.5,nan,0.2"),
+            ("--optimizers", "adam,adam"),
+            ("--betas", "0.9,1.5"),
+            ("--alphas", "0.5,1.2"),
             # removed keys are unknown flags now
             ("--eps_inside_sqrt", "true"),
             ("--grad_norm_mode", "mean_per_tensor"),

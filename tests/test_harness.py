@@ -90,6 +90,9 @@ class TestConfigValidation:
             {"synthetic_priors": (0.5, math.inf, 0.2)},
             {"clip_k": math.inf},
             {"norm_epsilon": 0.0},
+            {"optimizers": ("adam", "adam")},
+            {"beta_grid": (0.9, 1.5)},
+            {"alpha_grid": (0.5, -0.1)},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -281,7 +284,9 @@ class TestTrain:
 
 class TestCompare:
     def test_self_comparison_is_null(self):
-        cfg = tiny_config(optimizers=("adam", "adam"))
+        # optimizer names must be distinct; dbs_adam with its difficulty
+        # pinned at 1 takes Adam's steps, so it compares as Adam with itself
+        cfg = tiny_config(optimizers=("adam", "dbs_adam"), d_min=1.0, d_max=1.0)
         report = compare_optimizers(cfg, seeds=(1, 2))
         assert len(report.significance) == 5  # one pair x five metrics
         for entry in report.significance:
@@ -330,6 +335,20 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             sensitivity_sweep(tiny_config(), beta_grid=(), alpha_grid=(0.3,))
+
+    def test_invalid_grid_value_rejected_before_any_training(self, monkeypatch):
+        import dbsadam.harness as harness
+
+        calls = []
+        monkeypatch.setattr(harness, "train", lambda *args: calls.append(args))
+        for cfg, grids in [
+            (tiny_config(), dict(beta_grid=(0.9, 1.5), alpha_grid=(0.5,))),
+            (tiny_config(), dict(beta_grid=(0.9,), alpha_grid=(0.5, 1.2))),
+            (tiny_config(beta_grid=(0.9, 1.5)), {}),
+        ]:
+            with pytest.raises(ConfigError, match="grid"):
+                sensitivity_sweep(cfg, seeds=(1, 2), **grids)
+        assert calls == []
 
 
 class TestEmitReport:

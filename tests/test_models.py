@@ -10,7 +10,6 @@ from dbsadam.models import (
     _glorot,
     _sequence_backward,
     _sequence_forward,
-    bilstm_layer_forward,
     init_lstm_params,
     network_backward,
     network_forward,
@@ -62,9 +61,8 @@ def oracle_sequence(params, xs):
 
 
 def forward_only(cell, xs):
-    # the batched path as a one-directional LSTM: a zero backward cell
-    # contributes h = 0 at every step, so the fused output is the forward h
-    return bilstm_layer_forward(cell, zero_cell(cell.hidden_size, cell.input_size), xs)
+    # the batched path over one sequence (T, F): its hidden states (T, H)
+    return _sequence_forward(cell, np.asarray(xs, dtype=np.float64)[None])[0][0]
 
 
 class TestLstmCell:
@@ -109,55 +107,6 @@ class TestLstmCell:
         assert np.all(np.abs(hs) < 1)
         assert np.all(np.isfinite(cache["c"]))
 
-    def test_shape_mismatch_rejected(self):
-        cell = zero_cell(3, 2)
-        with pytest.raises(ValueError, match="input width"):
-            bilstm_layer_forward(cell, cell, np.zeros((1, 5)))
-
-
-class TestBilstmLayer:
-    def test_length_one_sequence(self):
-        fwd = random_cell(3, 2, 1)
-        bwd = random_cell(3, 2, 2)
-        x = SeededRng(3).normal(size=(1, 2))
-        out = bilstm_layer_forward(fwd, bwd, x)
-        hf, _ = oracle_cell_step(fwd, np.zeros(3), np.zeros(3), x[0])
-        hb, _ = oracle_cell_step(bwd, np.zeros(3), np.zeros(3), x[0])
-        assert np.allclose(out[0], hf + hb, atol=1e-12)
-
-    def test_palindrome_symmetry_with_tied_directions(self):
-        cell = random_cell(3, 2, 5)
-        rng = SeededRng(6)
-        half = rng.normal(size=(3, 2))
-        xs = np.concatenate([half, half[::-1]], axis=0)  # palindrome, T=6
-        out = bilstm_layer_forward(cell, cell, xs)
-        assert np.allclose(out, out[::-1], atol=1e-12)
-
-    def test_zero_parameters_give_zero_outputs(self):
-        out = bilstm_layer_forward(zero_cell(2, 3), zero_cell(2, 3), SeededRng(7).normal(size=(4, 3)))
-        assert np.allclose(out, 0.0)
-
-    def test_zero_backward_direction_degenerates_to_forward_lstm(self):
-        fwd = random_cell(3, 2, 8)
-        xs = SeededRng(9).normal(size=(5, 2))
-        out = bilstm_layer_forward(fwd, zero_cell(3, 2), xs)
-        h_ref, _ = oracle_sequence(fwd, xs)
-        assert np.allclose(out, h_ref, atol=1e-12)
-
-    def test_batched_rows_match_single_sequences(self):
-        fwd = random_cell(3, 2, 10)
-        bwd = random_cell(3, 2, 11)
-        xs = SeededRng(12).normal(size=(4, 5, 2))
-        out = bilstm_layer_forward(fwd, bwd, xs)
-        for row in range(4):
-            h_f, _ = oracle_sequence(fwd, xs[row])
-            h_b, _ = oracle_sequence(bwd, xs[row, ::-1])
-            assert np.allclose(out[row], h_f + h_b[::-1], atol=1e-12)
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            bilstm_layer_forward(zero_cell(2, 2), zero_cell(2, 2), np.zeros((0, 2)))
-
 
 def tiny_network(seed, dropout=0.0, **kwargs):
     defaults = dict(input_size=3, n_classes=3, hidden1=3, hidden2=2, dense_units=4)
@@ -197,6 +146,27 @@ class TestNetworkForward:
         with pytest.raises(ValueError):
             network_forward(net, np.zeros((1, 2, 5)))
 
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            network_forward(tiny_network(1), np.zeros((2, 0, 3)))
+
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_eval_logits_match_unrolled_oracle(self, steps):
+        # both layers as full bidirectional layers from the unrolled oracle,
+        # fused by addition; the last fused step of layer 2 then goes
+        # through the dense ReLU and the head
+        net = tiny_network(26)
+        xs = SeededRng(77).normal(size=(4, steps, 3))
+
+        def bilstm(fwd, bwd, seq):
+            return oracle_sequence(fwd, seq)[0] + oracle_sequence(bwd, seq[::-1])[0][::-1]
+
+        last = np.array([bilstm(net.l2f, net.l2b, bilstm(net.l1f, net.l1b, x))[-1] for x in xs])
+        act = np.maximum(last @ net.dense_w.T + net.dense_b, 0.0)
+        assert np.any(act > 0.0)
+        logits, _ = network_forward(net, xs)
+        assert np.max(np.abs(logits - (act @ net.head_w.T + net.head_b))) < 1e-12
+
 
 def clear_relu_kinks(net, xs, mode="eval", mask_seed=0, margin=1e-3):
     # a central difference whose step straddles the dense ReLU's kink at 0
@@ -234,8 +204,8 @@ def gradient_check(net, xs, labels, loss_config, mode="eval", mask_seed=0, tol=1
     logits, cache = network_forward(net, xs, mode=mode, rng=rng)
     grads = network_backward(net, cache, loss_gradient(loss_config, logits, labels))
     assert grads.keys() == net.params(xs.shape[1]).keys()
-    # every tensor is perturbed; one with no analytic entry (W_h at T = 1)
-    # must have a numeric derivative of exactly 0
+    # every tensor is perturbed; one with no analytic entry (every W_h at
+    # T = 1, l2b's at any T) must have a numeric derivative of exactly 0
     analytic, _ = flatten_arrays({k: grads.get(k, np.zeros_like(v)) for k, v in params.items()})
     untrained = np.concatenate([np.full(v.size, k not in grads) for k, v in params.items()])
     assert np.all(numeric[untrained] == 0.0)
@@ -301,16 +271,19 @@ class TestNetworkBackward:
             assert gradient_check(net, xs, labels, config) < 1e-5
 
     def test_recurrent_weights_do_not_reach_one_step_logits(self):
-        # h_0 = 0, so at T = 1 no output reads W_h: perturbing every W_h
-        # leaves the logits bit-identical in both modes
+        # h_0 = 0, so a direction that runs one step never reads its W_h:
+        # perturbing every W_h leaves T = 1 logits bit-identical in both
+        # modes, and perturbing l2b's, which runs one step at any T, leaves
+        # the T = 2 and T = 3 logits so
         net = tiny_network(23, dropout=0.3)
-        xs = SeededRng(73).normal(size=(4, 1, 3))
-        before = [network_forward(net, xs, mode=m, rng=SeededRng(3))[0] for m in ("train", "eval")]
-        for prefix in ("l1f", "l1b", "l2f", "l2b"):
-            getattr(net, prefix).W_h[...] += SeededRng(74).normal(size=getattr(net, prefix).W_h.shape)
-        after = [network_forward(net, xs, mode=m, rng=SeededRng(3))[0] for m in ("train", "eval")]
-        for a, b in zip(before, after):
-            assert np.array_equal(a, b)
+        for steps, prefixes in ((1, ("l1f", "l1b", "l2f", "l2b")), (2, ("l2b",)), (3, ("l2b",))):
+            xs = SeededRng(73).normal(size=(4, steps, 3))
+            before = [network_forward(net, xs, mode=m, rng=SeededRng(3))[0] for m in ("train", "eval")]
+            for prefix in prefixes:
+                getattr(net, prefix).W_h[...] += SeededRng(74).normal(size=getattr(net, prefix).W_h.shape)
+            after = [network_forward(net, xs, mode=m, rng=SeededRng(3))[0] for m in ("train", "eval")]
+            for a, b in zip(before, after):
+                assert np.array_equal(a, b), steps
 
     @pytest.mark.parametrize("steps", [1, 2, 3])
     def test_gradient_keys_are_the_trained_params(self, steps):
@@ -319,8 +292,9 @@ class TestNetworkBackward:
         logits, cache = network_forward(net, xs, mode="train", rng=SeededRng(4))
         grads = network_backward(net, cache, np.ones_like(logits))
         assert grads.keys() == net.params(steps).keys()
-        has_w_h = {k for k in net.params() if k.endswith(".W_h")} <= grads.keys()
-        assert has_w_h == (steps > 1)
+        trained_w_h = {k for k in grads if k.endswith(".W_h")}
+        assert trained_w_h == ({"l1f.W_h", "l1b.W_h", "l2f.W_h"} if steps > 1 else set())
+        assert len(net.params()) == 16
 
     def test_adamw_leaves_recurrent_weights_at_init_on_one_step_rows(self):
         from dbsadam.optimizers import OptimizerConfig, OptimizerState, adamw_step
@@ -336,6 +310,19 @@ class TestNetworkBackward:
         for k, v in w_h.items():
             assert np.array_equal(net.params()[k], v), k
         assert not np.array_equal(net.params()["l1f.W_x"], tiny_network(25).l1f.W_x)
+
+    def test_adamw_leaves_l2b_recurrent_weight_at_init_on_two_step_rows(self):
+        from dbsadam.optimizers import OptimizerConfig, OptimizerState, adamw_step
+
+        net = tiny_network(27)
+        params = net.params(2)
+        state = OptimizerState(params)
+        xs = SeededRng(78).normal(size=(3, 2, 3))
+        for _ in range(3):
+            logits, cache = network_forward(net, xs)
+            adamw_step(params, network_backward(net, cache, np.ones_like(logits)), state, OptimizerConfig())
+        assert np.array_equal(net.l2b.W_h, tiny_network(27).l2b.W_h)
+        assert not np.array_equal(net.l2f.W_h, tiny_network(27).l2f.W_h)
 
     @settings(max_examples=15, deadline=None)
     @given(
