@@ -22,7 +22,6 @@ from .data import (
     FeatureSchema,
     LabeledDataset,
     class_distribution,
-    encode_features,
     load_csv_dataset,
     synthetic_benchmark,
     to_sequences,
@@ -36,7 +35,6 @@ from .evaluation import (
     metrics_from_confusion,
     paired_t_test,
     split_indices,
-    stratified_split,
     student_t_two_sided_p,
 )
 from .harness import (
@@ -80,7 +78,6 @@ from .optimizers import (
     adamw_step,
     amsgrad_step,
     dbs_adam_step,
-    gradient_signal,
     observe_batch,
     scaled_learning_rate,
 )

@@ -20,6 +20,7 @@ from .harness import (
     ComparisonReport,
     ConfigError,
     ExperimentConfig,
+    _atomic_open,
     compare_optimizers,
     emit_report,
     load_config,
@@ -139,7 +140,7 @@ def _cmd_resample(config: ExperimentConfig) -> int:
     out_path = os.path.join(config.output_dir, "resampled.csv")
     header = [f"x{i}" for i in range(resampled.n_features)] + ["label"]
     rows = np.column_stack([resampled.features, resampled.labels.astype(np.float64)])
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with _atomic_open(out_path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{v:.10g}" for v in row[:-1]) + f",{int(row[-1])}\n")

@@ -3,14 +3,12 @@
 CSV loading is schema-driven: a schema maps each column to one of the roles
 feature_categorical, feature_numeric, label, or ignore. Rows with missing or
 unparseable values in used columns are dropped and counted. Encoding fits
-one-hot category sets and z-score statistics on the training split only and
-can be serialized so later transforms reuse the same parameters.
+one-hot category sets and z-score statistics on the training split only.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -260,36 +258,6 @@ class FeatureEncoder:
             blocks.append(block)
         features = np.concatenate(blocks, axis=1) if blocks else np.zeros((table.n_samples, 0))
         return LabeledDataset(features, table.labels, list(table.class_names))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "roles": self.schema.roles,
-                "categories": self.categories,
-                "numeric_stats": {k: list(v) for k, v in self.numeric_stats.items()},
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FeatureEncoder":
-        payload = json.loads(text)
-        enc = cls(schema=FeatureSchema(payload["roles"]))
-        enc.categories = {k: list(v) for k, v in payload["categories"].items()}
-        enc.numeric_stats = {k: (float(v[0]), float(v[1])) for k, v in payload["numeric_stats"].items()}
-        return enc
-
-
-def encode_features(table: RawTable, schema: FeatureSchema, encoder: FeatureEncoder | None = None):
-    """Encode a raw table; fit a new encoder if none is given.
-
-    Returns (LabeledDataset, FeatureEncoder). Fit the encoder on the training
-    split and pass it back in for validation/test so category sets and
-    z-score statistics come from training data only.
-    """
-    if encoder is None:
-        encoder = FeatureEncoder(schema=schema).fit(table)
-    return encoder.transform(table), encoder
 
 
 def to_sequences(features: np.ndarray, chunks: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
 from .numerics import SeededRng
 
 
@@ -132,14 +131,6 @@ def split_indices(
         test_parts.append(shuffled[:n_test])
         train_parts.append(shuffled[n_test:])
     return np.concatenate(train_parts), np.concatenate(test_parts)
-
-
-def stratified_split(
-    data: LabeledDataset, test_fraction: float, rng: SeededRng
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Class-proportion-preserving train/test split of a dataset."""
-    train_idx, test_idx = split_indices(data.labels, test_fraction, rng)
-    return data.subset(train_idx), data.subset(test_idx)
 
 
 def _betacf(a: float, b: float, x: float) -> float:

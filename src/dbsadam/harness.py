@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import (
+    FeatureEncoder,
     FeatureSchema,
     LabeledDataset,
-    encode_features,
     load_csv_dataset,
     synthetic_benchmark,
     to_sequences,
@@ -106,21 +106,21 @@ class ExperimentConfig:
     # optimizer
     optimizer: str = "dbs_adam"
     optimizers: tuple[str, ...] = ("adam", "amsgrad", "adamw", "adabound", "dbs_adam")
-    base_lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
-    weight_decay: float = 0.01
-    adabound_final_lr: float = 0.1
-    adabound_gamma: float = 1e-3
+    base_lr: float = OptimizerConfig.base_lr
+    beta1: float = OptimizerConfig.beta1
+    beta2: float = OptimizerConfig.beta2
+    epsilon: float = OptimizerConfig.epsilon
+    weight_decay: float = OptimizerConfig.weight_decay
+    adabound_final_lr: float = OptimizerConfig.adabound_final_lr
+    adabound_gamma: float = OptimizerConfig.adabound_gamma
     # batch-difficulty scaling
-    ema_beta: float = 0.95
-    alpha_mix: float = 0.5
-    clip_k: float = 5.0
-    d_min: float = 0.1
-    d_max: float = 1.0
-    norm_epsilon: float = 1e-8
-    warmup_batches: int = 10
+    ema_beta: float = DifficultyTracker.ema_beta
+    alpha_mix: float = DifficultyTracker.alpha_mix
+    clip_k: float = DifficultyTracker.clip_k
+    d_min: float = DifficultyTracker.d_min
+    d_max: float = DifficultyTracker.d_max
+    norm_epsilon: float = DifficultyTracker.norm_epsilon
+    warmup_batches: int = DifficultyTracker.warmup_batches
     # training
     batch_size: int = 32
     max_epochs: int = 30
@@ -281,19 +281,6 @@ class ComparisonReport:
     sweep: list[dict] = field(default_factory=list)
 
 
-def _load_full_dataset(config: ExperimentConfig):
-    if config.dataset == "synthetic":
-        return synthetic_benchmark(
-            n_samples=config.synthetic_samples,
-            n_features=config.synthetic_features,
-            priors=config.synthetic_priors,
-            separation=config.synthetic_separation,
-            seed=config.data_seed,
-        )
-    schema = FeatureSchema.from_file(config.schema_file)
-    return load_csv_dataset(config.dataset, schema, config.drop_labels), schema
-
-
 def prepare_split(config: ExperimentConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
     """Stratified train/test split; a function of (config, seed) only.
 
@@ -302,14 +289,21 @@ def prepare_split(config: ExperimentConfig, seed: int) -> tuple[LabeledDataset, 
     """
     split_rng = SeededRng(seed).child(_STREAM_SPLIT)
     if config.dataset == "synthetic":
-        data = _load_full_dataset(config)
+        data = synthetic_benchmark(
+            n_samples=config.synthetic_samples,
+            n_features=config.synthetic_features,
+            priors=config.synthetic_priors,
+            separation=config.synthetic_separation,
+            seed=config.data_seed,
+        )
         train_idx, test_idx = split_indices(data.labels, config.test_fraction, split_rng)
         return data.subset(train_idx), data.subset(test_idx)
-    table, schema = _load_full_dataset(config)
+    schema = FeatureSchema.from_file(config.schema_file)
+    table = load_csv_dataset(config.dataset, schema, config.drop_labels)
     train_idx, test_idx = split_indices(table.labels, config.test_fraction, split_rng)
-    train_encoded, encoder = encode_features(table.subset(train_idx), schema)
-    test_encoded = encoder.transform(table.subset(test_idx))
-    return train_encoded, test_encoded
+    train_table = table.subset(train_idx)
+    encoder = FeatureEncoder(schema).fit(train_table)
+    return encoder.transform(train_table), encoder.transform(table.subset(test_idx))
 
 
 def _resample_training(config: ExperimentConfig, train_ds: LabeledDataset, rng: SeededRng) -> LabeledDataset:
@@ -355,14 +349,24 @@ def _make_loss_config(config: ExperimentConfig, train_labels: np.ndarray, n_clas
     return LossConfig(kind=config.loss)
 
 
-def _dataset_loss(net, xs, labels_1h, loss_config, batch_size) -> float:
+def _evaluate(net, xs, labels_1h, loss_config, batch_size) -> tuple[float, np.ndarray, np.ndarray]:
+    """Score xs batch by batch in eval mode.
+
+    Returns the mean loss (the batch sums added in order), the per-sample
+    losses and the predicted classes.
+    """
+    n = xs.shape[0]
+    per_sample = np.empty(n)
+    preds = np.empty(n, dtype=np.int64)
     total = 0.0
-    for start in range(0, xs.shape[0], batch_size):
-        stop = min(start + batch_size, xs.shape[0])
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
         logits, _ = network_forward(net, xs[start:stop], mode="eval")
         per = loss_per_sample(loss_config, softmax(logits), labels_1h[start:stop])
+        per_sample[start:stop] = per
+        preds[start:stop] = np.argmax(logits, axis=1)
         total += float(per.sum())
-    return total / xs.shape[0]
+    return total / n, per_sample, preds
 
 
 def train(config: ExperimentConfig, seed: int) -> RunResult:
@@ -382,6 +386,7 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
     x_val = to_sequences(val_ds.features, config.sequence_chunks)
     y_val = one_hot(val_ds.labels, n_classes)
     x_test = to_sequences(test_ds.features, config.sequence_chunks)
+    y_test = one_hot(test_ds.labels, n_classes)
 
     net = SequenceNetwork(
         input_size=x_train.shape[2],
@@ -434,7 +439,7 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
             epoch_loss += float(per.sum())
         train_losses.append(epoch_loss / n)
 
-        val_loss = _dataset_loss(net, x_val, y_val, loss_config, config.batch_size)
+        val_loss, _, _ = _evaluate(net, x_val, y_val, loss_config, config.batch_size)
         val_losses.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
@@ -449,16 +454,7 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
     for k in params:
         params[k][...] = best_params[k]
 
-    preds = np.zeros(x_test.shape[0], dtype=np.int64)
-    per_sample = np.zeros(x_test.shape[0])
-    y_test_1h = one_hot(test_ds.labels, n_classes)
-    for start in range(0, x_test.shape[0], config.batch_size):
-        stop = min(start + config.batch_size, x_test.shape[0])
-        logits, _ = network_forward(net, x_test[start:stop], mode="eval")
-        preds[start:stop] = np.argmax(logits, axis=1)
-        per_sample[start:stop] = loss_per_sample(
-            loss_config, softmax(logits), y_test_1h[start:stop]
-        )
+    _, per_sample, preds = _evaluate(net, x_test, y_test, loss_config, config.batch_size)
     cm = confusion_matrix(test_ds.labels, preds, n_classes)
     metrics = metrics_from_confusion(cm, per_sample)
 

@@ -41,10 +41,6 @@ class LstmCellParams:
     def hidden_size(self) -> int:
         return self.W_h.shape[1]
 
-    @property
-    def input_size(self) -> int:
-        return self.W_x.shape[1]
-
     def tensors(self) -> dict[str, np.ndarray]:
         return {"W_x": self.W_x, "W_h": self.W_h, "b": self.b}
 

@@ -66,11 +66,6 @@ class OptimizerState:
         self.scratch = (np.empty(_BLOCK_ELEMENTS), np.empty(_BLOCK_ELEMENTS))
 
 
-def _squared_norm(g: np.ndarray) -> float:
-    flat = g.reshape(-1)
-    return float(np.dot(flat, flat))
-
-
 def _check_shapes(params: Params, grads: Params) -> float:
     """Validate grads against params and return the squared L2 norm of the
     whole gradient, summed tensor by tensor in grads order.
@@ -92,7 +87,8 @@ def _check_shapes(params: Params, grads: Params) -> float:
             )
         if not params[k].flags.c_contiguous:
             raise ValueError(f"parameter {k!r} must be C-contiguous to be updated in place")
-        sq = _squared_norm(g)
+        flat = g.reshape(-1)
+        sq = float(np.dot(flat, flat))
         if not math.isfinite(sq) and not np.all(np.isfinite(g)):
             bad = tuple(int(i) for i in np.argwhere(~np.isfinite(g))[0])
             raise ValueError(f"non-finite gradient in {k!r} at index {bad}")
@@ -316,12 +312,6 @@ def scaled_learning_rate(tracker: DifficultyTracker, base_lr: float, difficulty:
             f"difficulty {difficulty} outside [{tracker.d_min}, {tracker.d_max}]"
         )
     return base_lr * difficulty
-
-
-def gradient_signal(grads: Params) -> float:
-    """Gradient-magnitude signal for difficulty scoring: the L2 norm of the
-    full concatenated gradient."""
-    return math.sqrt(sum(_squared_norm(g) for g in grads.values()))
 
 
 def dbs_adam_step(

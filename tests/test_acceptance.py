@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dbsadam.data import LabeledDataset, class_distribution, synthetic_benchmark
-from dbsadam.evaluation import cohens_d, paired_t_test, stratified_split
+from dbsadam.evaluation import cohens_d, paired_t_test, split_indices
 from dbsadam.harness import ExperimentConfig, load_config, sensitivity_sweep, train
 from dbsadam.losses import LossConfig, loss_gradient, loss_value, one_hot, softmax
 from dbsadam.models import SequenceNetwork, network_backward, network_forward
@@ -270,7 +270,8 @@ def test_criterion_7_end_to_end_benchmark():
             separation=config.synthetic_separation,
             seed=config.data_seed,
         )
-        fit, held = stratified_split(data, 0.2, SeededRng(7))
+        fit_idx, held_idx = split_indices(data.labels, 0.2, SeededRng(7))
+        fit, held = data.subset(fit_idx), data.subset(held_idx)
         centroids = np.stack([fit.features[fit.labels == c].mean(axis=0) for c in range(3)])
         dists = ((held.features[:, None, :] - centroids[None]) ** 2).sum(axis=2)
         oracle_accuracy = float(np.mean(dists.argmin(axis=1) == held.labels))

@@ -176,6 +176,17 @@ class TestResampleCommand:
         labels = np.loadtxt(out / "resampled.csv", delimiter=",", skiprows=1)[:, -1]
         assert np.bincount(labels.astype(np.int64)).tolist() == fitted.value.args[0]
 
+    def test_failed_write_keeps_previous_file(self, config_file, tmp_path, full_disk, capsys):
+        out = tmp_path / "rs"
+        args = ["resample", "--config", config_file, "--resampler", "smote_enn", "--out", str(out)]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        full_disk("resampled.csv")
+        assert main(args) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 class TestReportCommand:
     def test_regenerates_csv_views(self, config_file, tmp_path):

@@ -6,7 +6,6 @@ from dbsadam.data import (
     FeatureSchema,
     LabeledDataset,
     class_distribution,
-    encode_features,
     load_csv_dataset,
     synthetic_benchmark,
     to_sequences,
@@ -115,38 +114,31 @@ class TestEncoder:
 
     def test_one_hot_blocks_sum_to_one(self, tmp_path):
         table = self.make_table(tmp_path, ["red,1,x,y", "blue,2,x,y", "green,3,x,n", "red,4,x,n"])
-        data, encoder = encode_features(table, SCHEMA)
+        data = FeatureEncoder(SCHEMA).fit(table).transform(table)
         # 3 categories + 1 numeric column
         assert data.n_features == 4
         assert np.allclose(data.features[:, :3].sum(axis=1), 1.0)
 
     def test_numeric_zscored_on_fit_data(self, tmp_path):
         table = self.make_table(tmp_path, ["a,1,x,y", "a,2,x,y", "a,3,x,n", "a,4,x,n"])
-        data, _ = encode_features(table, SCHEMA)
+        data = FeatureEncoder(SCHEMA).fit(table).transform(table)
         col = data.features[:, -1]
         assert abs(col.mean()) < 1e-9
         assert abs(col.var() - 1.0) < 1e-9
 
     def test_constant_numeric_column_becomes_zeros(self, tmp_path):
         table = self.make_table(tmp_path, ["a,7,x,y", "a,7,x,y", "a,7,x,n"])
-        data, _ = encode_features(table, SCHEMA)
+        data = FeatureEncoder(SCHEMA).fit(table).transform(table)
         assert np.allclose(data.features[:, -1], 0.0)
 
     def test_unseen_category_warns_and_zero_encodes(self, tmp_path):
         fit_table = self.make_table(tmp_path, ["red,1,x,y", "blue,2,x,n"])
-        _, encoder = encode_features(fit_table, SCHEMA)
+        encoder = FeatureEncoder(SCHEMA).fit(fit_table)
         new_table = self.make_table(tmp_path, ["green,1,x,y", "red,2,x,n"])
         with pytest.warns(UserWarning, match="unseen"):
             data = encoder.transform(new_table)
         assert np.allclose(data.features[0, :2], 0.0)
         assert data.features[1, 0] == 1.0
-
-    def test_serialization_round_trip(self, tmp_path):
-        table = self.make_table(tmp_path, ["red,1,x,y", "blue,2,x,n", "red,3,x,y"])
-        data, encoder = encode_features(table, SCHEMA)
-        restored = FeatureEncoder.from_json(encoder.to_json())
-        again = restored.transform(table)
-        assert np.array_equal(data.features, again.features)
 
 
 class TestToSequences:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from dbsadam.data import LabeledDataset
@@ -14,7 +16,6 @@ from dbsadam.evaluation import (
     paired_t_test,
     regularized_incomplete_beta,
     split_indices,
-    stratified_split,
     student_t_two_sided_p,
 )
 from dbsadam.numerics import SeededRng
@@ -122,20 +123,24 @@ class TestStratifiedSplit:
         return LabeledDataset(np.arange(labels.size, dtype=float)[:, None], labels,
                               [str(i) for i in range(len(counts))])
 
+    def split(self, data, fraction, rng):
+        train_idx, test_idx = split_indices(data.labels, fraction, rng)
+        return data.subset(train_idx), data.subset(test_idx)
+
     def test_proportional_counts(self):
         data = self.make([80, 10, 10])
-        _, test = stratified_split(data, 0.2, SeededRng(1))
+        _, test = self.split(data, 0.2, SeededRng(1))
         counts = np.bincount(test.labels, minlength=3)
         assert counts.tolist() == [16, 2, 2]
 
     def test_zero_fraction_gives_empty_test(self):
         data = self.make([5, 5])
-        train, test = stratified_split(data, 0.0, SeededRng(1))
+        train, test = self.split(data, 0.0, SeededRng(1))
         assert test.n_samples == 0 and train.n_samples == 10
 
     def test_union_is_permutation_of_input(self):
         data = self.make([12, 7, 9])
-        train, test = stratified_split(data, 0.25, SeededRng(2))
+        train, test = self.split(data, 0.25, SeededRng(2))
         got = sorted(np.concatenate([train.features[:, 0], test.features[:, 0]]).tolist())
         assert got == sorted(data.features[:, 0].tolist())
 
@@ -144,7 +149,7 @@ class TestStratifiedSplit:
         for trial in range(20):
             counts = [int(rng.integers(4, 50)) for _ in range(3)]
             data = self.make(counts)
-            train, test = stratified_split(data, 0.2, SeededRng(trial))
+            train, test = self.split(data, 0.2, SeededRng(trial))
             for c in range(3):
                 expected_test = counts[c] * 0.2
                 got = int(np.sum(test.labels == c))
@@ -153,21 +158,21 @@ class TestStratifiedSplit:
     def test_rounding_remainder_goes_to_train(self):
         data = self.make([5, 5])
         # 5 * 0.5 = 2.5 rounds half-down: 2 test, 3 train per class
-        train, test = stratified_split(data, 0.5, SeededRng(4))
+        train, test = self.split(data, 0.5, SeededRng(4))
         assert np.bincount(test.labels).tolist() == [2, 2]
         assert np.bincount(train.labels).tolist() == [3, 3]
 
     def test_pure_function_of_seed(self):
         data = self.make([20, 20])
-        a_train, a_test = stratified_split(data, 0.2, SeededRng(7))
-        b_train, b_test = stratified_split(data, 0.2, SeededRng(7))
+        a_train, a_test = self.split(data, 0.2, SeededRng(7))
+        b_train, b_test = self.split(data, 0.2, SeededRng(7))
         assert np.array_equal(a_train.features, b_train.features)
         assert np.array_equal(a_test.features, b_test.features)
 
     def test_tiny_class_rejected(self):
         data = self.make([10, 1])
         with pytest.raises(ValueError):
-            stratified_split(data, 0.2, SeededRng(1))
+            self.split(data, 0.2, SeededRng(1))
 
 
 class TestIncompleteBeta:
@@ -217,6 +222,17 @@ class TestPairedTTest:
             t_ref, p_ref = stats.ttest_rel(a, b)
             assert ours.t_statistic == pytest.approx(float(t_ref), rel=1e-9)
             assert ours.p_value == pytest.approx(float(p_ref), abs=1e-8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                          min_size=2, max_size=30))
+    def test_matches_reference_on_any_pairs(self, pairs):
+        a, b = (np.array(side) for side in zip(*pairs))
+        assume(np.std(a - b, ddof=1) > 0)
+        ours = paired_t_test(a, b)
+        t_ref, p_ref = stats.ttest_rel(a, b)
+        assert ours.t_statistic == pytest.approx(float(t_ref), rel=1e-9)
+        assert ours.p_value == pytest.approx(float(p_ref), abs=1e-8)
 
     def test_critical_value_table(self):
         # two-sided p at the alpha = 0.05 critical t values

@@ -11,6 +11,7 @@ from dbsadam.harness import (
     ComparisonReport,
     ConfigError,
     ExperimentConfig,
+    _from_shared_fields,
     compare_optimizers,
     emit_report,
     load_config,
@@ -19,6 +20,7 @@ from dbsadam.harness import (
     sensitivity_sweep,
     train,
 )
+from dbsadam.optimizers import DifficultyTracker, OptimizerConfig
 
 
 def tiny_config(**overrides):
@@ -45,6 +47,10 @@ def tiny_config(**overrides):
 class TestConfigValidation:
     def test_defaults_valid(self):
         ExperimentConfig().validate()
+
+    @pytest.mark.parametrize("cls", [OptimizerConfig, DifficultyTracker])
+    def test_shared_fields_default_to_the_component_defaults(self, cls):
+        assert _from_shared_fields(cls, ExperimentConfig()) == cls()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -366,33 +372,12 @@ class TestEmitReport:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize("victim", ["report.json", "runs.csv", "lr_trace.csv"])
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, victim):
-        from dbsadam import harness
-
+    def test_failed_write_keeps_previous_file(self, tmp_path, full_disk, victim):
         report = compare_optimizers(tiny_config(optimizers=("adam", "dbs_adam")), seeds=(1, 2))
         emit_report(report, str(tmp_path))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-        class FullDisk:
-            # writes a few characters, then fails as a full disk would
-            def __init__(self, fh):
-                self.fh = fh
-
-            def write(self, text):
-                self.fh.write(text[:5])
-                raise OSError(28, "No space left on device")
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        def failing_open(path, mode="r", *args, **kwargs):
-            fh = open(path, mode, *args, **kwargs)
-            return FullDisk(fh) if Path(path).name.startswith(victim) else fh
-
-        monkeypatch.setattr(harness, "open", failing_open, raising=False)
+        full_disk(victim)
         with pytest.raises(RuntimeError, match="No space left"):
             emit_report(report, str(tmp_path))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
