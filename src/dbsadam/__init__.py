@@ -35,7 +35,6 @@ from .evaluation import (
     metrics_from_confusion,
     paired_t_test,
     split_indices,
-    student_t_two_sided_p,
 )
 from .harness import (
     ComparisonReport,

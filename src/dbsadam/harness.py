@@ -281,11 +281,17 @@ class ComparisonReport:
     sweep: list[dict] = field(default_factory=list)
 
 
+def _carve_validation(config: ExperimentConfig, seed: int, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified (fit, validation) indices into the training portion."""
+    return split_indices(labels, config.validation_fraction, SeededRng(seed).child(_STREAM_VAL))
+
+
 def prepare_split(config: ExperimentConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
     """Stratified train/test split; a function of (config, seed) only.
 
     For CSV data the encoder (one-hot categories, z-score statistics) is
-    fitted on the training portion and reused for the test portion.
+    fitted on the training rows left after the validation carve, so neither
+    validation nor test rows shape the encoding.
     """
     split_rng = SeededRng(seed).child(_STREAM_SPLIT)
     if config.dataset == "synthetic":
@@ -302,7 +308,8 @@ def prepare_split(config: ExperimentConfig, seed: int) -> tuple[LabeledDataset, 
     table = load_csv_dataset(config.dataset, schema, config.drop_labels)
     train_idx, test_idx = split_indices(table.labels, config.test_fraction, split_rng)
     train_table = table.subset(train_idx)
-    encoder = FeatureEncoder(schema).fit(train_table)
+    fit_idx, _ = _carve_validation(config, seed, train_table.labels)
+    encoder = FeatureEncoder(schema).fit(train_table.subset(fit_idx))
     return encoder.transform(train_table), encoder.transform(table.subset(test_idx))
 
 
@@ -331,12 +338,9 @@ def prepare_training(
     command writes it.
     """
     train_full, test_ds = prepare_split(config, seed)
-    root = SeededRng(seed)
-    keep_idx, val_idx = split_indices(
-        train_full.labels, config.validation_fraction, root.child(_STREAM_VAL)
-    )
+    keep_idx, val_idx = _carve_validation(config, seed, train_full.labels)
     fit_ds = train_full.subset(keep_idx)
-    resampled = _resample_training(config, fit_ds, root.child(_STREAM_RESAMPLE))
+    resampled = _resample_training(config, fit_ds, SeededRng(seed).child(_STREAM_RESAMPLE))
     return fit_ds, resampled, train_full.subset(val_idx), test_ds
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import stats
 
 from dbsadam.data import LabeledDataset
 from dbsadam.evaluation import (
@@ -14,7 +14,6 @@ from dbsadam.evaluation import (
     confusion_matrix,
     metrics_from_confusion,
     paired_t_test,
-    regularized_incomplete_beta,
     split_indices,
     student_t_two_sided_p,
 )
@@ -175,18 +174,29 @@ class TestStratifiedSplit:
             self.split(data, 0.2, SeededRng(1))
 
 
-class TestIncompleteBeta:
-    def test_against_reference_grid(self):
-        for a in (0.5, 1.0, 2.0, 4.5):
-            for b in (0.5, 1.0, 3.0):
-                for x in (0.01, 0.2, 0.5, 0.8, 0.99):
-                    ours = regularized_incomplete_beta(a, b, x)
-                    ref = float(special.betainc(a, b, x))
-                    assert ours == pytest.approx(ref, abs=1e-8)
+class TestStudentTTail:
+    @pytest.mark.parametrize("df", list(range(1, 61)) + [99, 999])
+    def test_matches_scipy_survival_function(self, df):
+        grid = [k / 10 for k in range(81)] + [10.0, 30.0, 1e3, 1e6, math.inf]
+        for t in grid:
+            ref = 2.0 * float(stats.t.sf(t, df))
+            assert student_t_two_sided_p(t, df) == pytest.approx(ref, abs=1e-12)
+            assert student_t_two_sided_p(-t, df) == student_t_two_sided_p(t, df)
 
-    def test_endpoints(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 30])
+    def test_zero_and_infinite_t(self, df):
+        assert student_t_two_sided_p(0.0, df) == 1.0
+        assert student_t_two_sided_p(math.inf, df) == 0.0
+        assert student_t_two_sided_p(-math.inf, df) == 0.0
+
+    def test_nan_t_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            student_t_two_sided_p(math.nan, 4)
+
+    @pytest.mark.parametrize("df", [0, -3, 2.5, 4.0])
+    def test_df_must_be_a_positive_integer(self, df):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            student_t_two_sided_p(1.0, df)
 
 
 class TestPairedTTest:
@@ -249,6 +259,10 @@ class TestPairedTTest:
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
             paired_t_test([1.0], [2.0])
+
+    def test_nan_pair_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            paired_t_test([math.nan, 1.0, 2.0], [0.0, 0.0, 0.0])
 
 
 class TestCohensD:

@@ -16,6 +16,7 @@ from dbsadam.harness import (
     emit_report,
     load_config,
     prepare_split,
+    prepare_training,
     report_from_json,
     sensitivity_sweep,
     train,
@@ -286,6 +287,28 @@ class TestTrain:
         cfg = tiny_config(dataset=str(csv_path), schema_file=str(schema_path))
         run = train(cfg, 1)
         assert run.metrics.accuracy > 0.5  # x separates the classes by 4 sigma
+
+    def test_csv_encoder_fitted_on_the_rows_train_fits(self, tmp_path):
+        rng = np.random.default_rng(1)
+        lines = ["x,y,cat,label"]
+        for i in range(300):
+            lines.append(
+                f"{rng.normal(3.0, 2.5):.4f},{rng.exponential(2.0):.4f},"
+                f"{'pq'[i % 2]},{'abc'[i % 3]}"
+            )
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        schema_path = tmp_path / "schema.txt"
+        schema_path.write_text(
+            "x: feature_numeric\ny: feature_numeric\ncat: feature_categorical\nlabel: label\n",
+            encoding="utf-8",
+        )
+        cfg = tiny_config(dataset=str(csv_path), schema_file=str(schema_path))
+        fit_ds, _, val_ds, _ = prepare_training(cfg, 1)
+        assert val_ds.n_samples > 0
+        numeric = fit_ds.features[:, :2]  # x and y, encoded first in schema order
+        np.testing.assert_allclose(numeric.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(numeric.std(axis=0), 1.0, atol=1e-12)
 
 
 class TestCompare:
