@@ -25,7 +25,7 @@ from dbsadam import (
     one_hot,
     softmax,
 )
-from dbsadam.numerics import finite_difference_gradient, flatten_arrays, unflatten_arrays
+from dbsadam.numerics import finite_difference_gradient
 
 rng = SeededRng(7)
 net = SequenceNetwork(
@@ -38,14 +38,15 @@ labels = one_hot(np.array([0, 2]), 3)
 loss_config = LossConfig(kind="focal", gamma=2.0, alpha=0.25)
 
 params = net.params(xs.shape[1])
-flat, layout = flatten_arrays(params)
-print(f"network has {flat.size} parameters across {len(layout)} tensors")
+flat = np.concatenate([p.ravel() for p in params.values()])
+print(f"network has {flat.size} parameters across {len(params)} tensors")
 
 
 def assign(theta):
-    values = unflatten_arrays(theta, layout)
-    for key in params:
-        params[key][...] = values[key]
+    offset = 0
+    for p in params.values():
+        p[...] = theta[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
 
 
 def scalar_loss(theta):
@@ -61,18 +62,17 @@ numeric = finite_difference_gradient(scalar_loss, base, h=1e-5)
 assign(base)
 logits, cache = network_forward(net, xs)
 grads = network_backward(net, cache, loss_gradient(loss_config, logits, labels))
-analytic, _ = flatten_arrays({key: grads[key] for key in params})
+analytic = np.concatenate([grads[key].ravel() for key in params])
 
 residual = np.abs(analytic - numeric) / (np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-3)
 print(f"worst scaled residual: {residual.max():.2e}  (tolerance 1e-5)")
 
 offset = 0
 print("\nper-tensor worst residuals:")
-for name, shape in layout:
-    size = int(np.prod(shape))
-    chunk = residual[offset : offset + size]
-    print(f"  {name:10s} {str(shape):10s} -> {chunk.max():.2e}")
-    offset += size
+for name, p in params.items():
+    chunk = residual[offset : offset + p.size]
+    print(f"  {name:10s} {str(p.shape):10s} -> {chunk.max():.2e}")
+    offset += p.size
 
 assert residual.max() < 1e-5
 print("\nevery parameter tensor agrees with the numeric oracle")

@@ -24,7 +24,6 @@ from .data import (
     class_distribution,
     load_csv_dataset,
     synthetic_benchmark,
-    to_sequences,
 )
 from .evaluation import (
     MetricsReport,
@@ -49,7 +48,6 @@ from .harness import (
 )
 from .losses import (
     LossConfig,
-    default_class_weights,
     loss_gradient,
     loss_per_sample,
     loss_value,
@@ -57,16 +55,13 @@ from .losses import (
     softmax,
 )
 from .models import (
-    LstmCellParams,
     SequenceNetwork,
-    init_lstm_params,
     network_backward,
     network_forward,
 )
 from .numerics import (
     SeededRng,
     finite_difference_gradient,
-    sigmoid,
 )
 from .optimizers import (
     DifficultyTracker,
@@ -78,7 +73,6 @@ from .optimizers import (
     amsgrad_step,
     dbs_adam_step,
     observe_batch,
-    scaled_learning_rate,
 )
 from .resampling import (
     NeighborIndex,

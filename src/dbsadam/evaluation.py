@@ -15,6 +15,18 @@ import numpy as np
 
 from .numerics import SeededRng
 
+# Each headline metric used for optimizer comparison and the MetricsReport
+# field it reads: the weighted aggregates, matching how multi-class results
+# are usually reported.
+_HEADLINE_FIELDS = {
+    "accuracy": "accuracy",
+    "precision": "weighted_precision",
+    "recall": "weighted_recall",
+    "f1": "weighted_f1",
+    "loss": "mean_loss",
+}
+METRIC_KEYS = tuple(_HEADLINE_FIELDS)
+
 
 @dataclass
 class MetricsReport:
@@ -34,15 +46,8 @@ class MetricsReport:
     mean_loss: float
 
     def scalar_metrics(self) -> dict[str, float]:
-        """The headline scalars used for optimizer comparison (weighted
-        aggregates, matching how multi-class results are usually reported)."""
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.weighted_precision,
-            "recall": self.weighted_recall,
-            "f1": self.weighted_f1,
-            "loss": self.mean_loss,
-        }
+        """The headline scalars, keyed and ordered as METRIC_KEYS."""
+        return {key: getattr(self, name) for key, name in _HEADLINE_FIELDS.items()}
 
 
 @dataclass

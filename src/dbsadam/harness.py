@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import resampling  # names looked up per call, so wrappers on the module see it
 from .data import (
     FeatureEncoder,
     FeatureSchema,
@@ -29,6 +30,7 @@ from .data import (
     to_sequences,
 )
 from .evaluation import (
+    METRIC_KEYS,
     MetricsReport,
     SignificanceResult,
     aggregate_runs,
@@ -171,6 +173,8 @@ class ExperimentConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.dataset == "synthetic":
+            if not math.isfinite(self.synthetic_separation):
+                raise ConfigError(f"synthetic_separation must be finite, got {self.synthetic_separation}")
             if self.synthetic_samples < 1:
                 raise ConfigError(f"synthetic_samples must be >= 1, got {self.synthetic_samples}")
             if not (self.synthetic_priors and all(0 < p < math.inf for p in self.synthetic_priors)):
@@ -317,14 +321,8 @@ def _resample_training(config: ExperimentConfig, train_ds: LabeledDataset, rng: 
     if config.resampler == "none":
         return train_ds
     if config.resampler == "smote_enn":
-        from .resampling import smote_enn
-
-        return smote_enn(train_ds, config.smote_k, config.enn_k, rng)
-    from .resampling import _oversample, adasyn_generate
-
-    return _oversample(
-        train_ds, lambda c, deficit: adasyn_generate(train_ds, c, deficit, config.adasyn_k, rng.child(c))
-    )
+        return resampling.smote_enn(train_ds, config.smote_k, config.enn_k, rng)
+    return resampling.adasyn(train_ds, config.adasyn_k, rng)
 
 
 def prepare_training(
@@ -479,9 +477,6 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
     )
 
 
-METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "loss")
-
-
 def compare_optimizers(
     config: ExperimentConfig, seeds: tuple[int, ...] | None = None
 ) -> ComparisonReport:
@@ -491,8 +486,8 @@ def compare_optimizers(
     across optimizers; each optimizer pair gets one t-test and effect size
     per metric.
     """
-    config.validate()
     seeds = tuple(seeds) if seeds is not None else config.seeds
+    replace(config, seeds=seeds).validate()
     if len(config.optimizers) < 2:
         raise ConfigError("comparison needs at least 2 optimizers")
     if len(seeds) < 2:
@@ -528,9 +523,6 @@ def sensitivity_sweep(
     difficulty-scaled optimizer; each cell aggregates over the sweep seeds."""
     betas = tuple(beta_grid) if beta_grid is not None else config.beta_grid
     alphas = tuple(alpha_grid) if alpha_grid is not None else config.alpha_grid
-    replace(config, beta_grid=betas, alpha_grid=alphas).validate()
-    if not betas or not alphas:
-        raise ConfigError("sweep grids must be non-empty")
     if seeds is None:
         if config.sweep_seeds > len(config.seeds):
             raise ConfigError(
@@ -538,6 +530,9 @@ def sensitivity_sweep(
             )
         seeds = config.seeds[: config.sweep_seeds]
     seeds = tuple(seeds)
+    replace(config, beta_grid=betas, alpha_grid=alphas, seeds=seeds).validate()
+    if not betas or not alphas:
+        raise ConfigError("sweep grids must be non-empty")
 
     report = ComparisonReport()
     for beta in betas:
@@ -578,7 +573,7 @@ def _jsonable(obj):
 
 
 RUNS_CSV_COLUMNS = (
-    "optimizer", "seed", "tag", "accuracy", "precision", "recall", "f1", "loss",
+    "optimizer", "seed", "tag", *METRIC_KEYS,
     "best_epoch", "epochs_run", "lr_min", "lr_mean", "lr_max", "wall_clock_s",
 )
 
@@ -624,9 +619,7 @@ def emit_report(report: ComparisonReport, out_dir: str, formats: tuple[str, ...]
                     lr = run.lr_summary or ("", "", "")
                     writer.writerow([
                         run.optimizer, run.seed, run.tag,
-                        f"{scalars['accuracy']:.10g}", f"{scalars['precision']:.10g}",
-                        f"{scalars['recall']:.10g}", f"{scalars['f1']:.10g}",
-                        f"{scalars['loss']:.10g}",
+                        *(f"{scalars[key]:.10g}" for key in METRIC_KEYS),
                         run.best_epoch, run.epochs_run,
                         *(f"{v:.10g}" if v != "" else "" for v in lr),
                         f"{run.wall_clock:.6f}",

@@ -12,6 +12,7 @@ against central differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class LossConfig:
 
     class_weights applies to weighted_cross_entropy; gamma/alpha to focal.
     alpha may be a scalar applied uniformly or a per-class vector. Weights
-    must be strictly positive.
+    must be strictly positive and finite.
     """
 
     kind: str = "cross_entropy"
@@ -40,15 +41,15 @@ class LossConfig:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma}")
         if self.kind == "weighted_cross_entropy" and self.class_weights is None:
             raise ValueError("weighted_cross_entropy requires class_weights")
         if self.class_weights is not None:
             self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
         for name, w in (("class weights", self.class_weights), ("alpha", self.alpha)):
-            if w is not None and not np.all(np.asarray(w) > 0):
-                raise ValueError(f"{name} must be strictly positive, got {w}")
+            if w is not None and not np.all((np.asarray(w) > 0) & np.isfinite(w)):
+                raise ValueError(f"{name} must be strictly positive and finite, got {w}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

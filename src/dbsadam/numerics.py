@@ -12,8 +12,6 @@ import numpy as np
 __all__ = [
     "sigmoid",
     "finite_difference_gradient",
-    "flatten_arrays",
-    "unflatten_arrays",
     "SeededRng",
 ]
 
@@ -50,32 +48,6 @@ def finite_difference_gradient(f, theta: np.ndarray, h: float = 1e-5) -> np.ndar
             raise ValueError(f"non-finite function value at coordinate {i}")
         grad[i] = (f_plus - f_minus) / (2.0 * h)
     return grad
-
-
-def flatten_arrays(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, list[tuple[str, tuple[int, ...]]]]:
-    """Concatenate a name->array dict into one vector plus a shape layout.
-
-    Iteration follows the dict's insertion order, so a round trip through
-    unflatten_arrays is exact as long as the same dict is used.
-    """
-    layout = [(name, arr.shape) for name, arr in arrays.items()]
-    if not layout:
-        return np.zeros(0), layout
-    flat = np.concatenate([np.ravel(arr) for arr in arrays.values()])
-    return flat.astype(np.float64), layout
-
-
-def unflatten_arrays(flat: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]) -> dict[str, np.ndarray]:
-    """Inverse of flatten_arrays."""
-    out: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in layout:
-        size = int(np.prod(shape)) if shape else 1
-        out[name] = flat[offset : offset + size].reshape(shape).copy()
-        offset += size
-    if offset != flat.size:
-        raise ValueError(f"layout covers {offset} values, vector has {flat.size}")
-    return out
 
 
 class SeededRng:

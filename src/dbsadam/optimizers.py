@@ -37,10 +37,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError(f"betas must lie in [0, 1): {self.beta1}, {self.beta2}")
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        # written so that NaN fails every check
+        for name in ("base_lr", "epsilon", "adabound_final_lr", "adabound_gamma"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
 
 
 # Elements per block of the moment pass: 32K float64 = 256 KiB, so the

@@ -175,6 +175,15 @@ def smote_enn(
     return cleaned
 
 
+def adasyn(data: LabeledDataset, k: int, rng: SeededRng) -> LabeledDataset:
+    """ADASYN-oversample every minority class to the majority count.
+
+    Each class draws from its own substream of rng; synthetic rows are
+    appended after the originals, grouped by class id.
+    """
+    return _oversample(data, lambda c, deficit: adasyn_generate(data, c, deficit, k, rng.child(c)))
+
+
 def _oversample(data: LabeledDataset, generate) -> LabeledDataset:
     """data followed by the rows generate(c, deficit) returns for every class
     c short of the majority count by deficit rows, grouped by class id."""

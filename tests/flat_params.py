@@ -1,0 +1,33 @@
+"""Flatten a name -> array dict into one vector and back.
+
+The finite-difference gradient checks perturb a network's parameters as one
+vector; these two helpers map between that vector and the tensor dict.
+"""
+
+import numpy as np
+
+
+def flatten_arrays(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, list[tuple[str, tuple[int, ...]]]]:
+    """Concatenate a name->array dict into one vector plus a shape layout.
+
+    Iteration follows the dict's insertion order, so a round trip through
+    unflatten_arrays is exact as long as the same dict is used.
+    """
+    layout = [(name, arr.shape) for name, arr in arrays.items()]
+    if not layout:
+        return np.zeros(0), layout
+    flat = np.concatenate([np.ravel(arr) for arr in arrays.values()])
+    return flat.astype(np.float64), layout
+
+
+def unflatten_arrays(flat: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]) -> dict[str, np.ndarray]:
+    """Inverse of flatten_arrays."""
+    out: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in layout:
+        size = int(np.prod(shape)) if shape else 1
+        out[name] = flat[offset : offset + size].reshape(shape).copy()
+        offset += size
+    if offset != flat.size:
+        raise ValueError(f"layout covers {offset} values, vector has {flat.size}")
+    return out

@@ -18,12 +18,7 @@ from dbsadam.evaluation import cohens_d, paired_t_test, split_indices
 from dbsadam.harness import ExperimentConfig, load_config, sensitivity_sweep, train
 from dbsadam.losses import LossConfig, loss_gradient, loss_value, one_hot, softmax
 from dbsadam.models import SequenceNetwork, network_backward, network_forward
-from dbsadam.numerics import (
-    SeededRng,
-    finite_difference_gradient,
-    flatten_arrays,
-    unflatten_arrays,
-)
+from dbsadam.numerics import SeededRng, finite_difference_gradient
 from dbsadam.optimizers import (
     DifficultyTracker,
     OptimizerConfig,
@@ -33,6 +28,7 @@ from dbsadam.optimizers import (
     observe_batch,
 )
 from dbsadam.resampling import enn_filter, smote_enn, smote_generate
+from flat_params import flatten_arrays, unflatten_arrays
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK_CFG = REPO_ROOT / "configs" / "benchmark.cfg"

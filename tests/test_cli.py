@@ -92,6 +92,21 @@ class TestExitCodes:
         ]:
             assert main(["train", "--config", config_file, *flags]) == 1, flags
 
+    @pytest.mark.parametrize("key, value", [
+        ("base_lr", "nan"),
+        ("base_lr", "inf"),
+        ("epsilon", "nan"),
+        ("gamma", "nan"),
+        ("synthetic_separation", "nan"),
+        ("adabound_gamma", "0"),
+        ("weight_decay", "-5"),
+        ("weight_decay", "nan"),
+        ("adabound_final_lr", "-1"),
+        ("focal_alpha", "inf"),
+    ])
+    def test_non_finite_or_out_of_range_value_is_config_error(self, config_file, key, value):
+        assert main(["train", "--config", config_file, f"--{key}", value]) == 1
+
     def test_unknown_flag_is_config_error(self):
         assert main(["train", "--definitely-not-a-flag", "1"]) == 1
 

@@ -339,6 +339,11 @@ class TestCompare:
         with pytest.raises(ConfigError):
             compare_optimizers(tiny_config(optimizers=("adam", "adamw")), seeds=(1,))
 
+    def test_duplicate_seed_argument_rejected(self):
+        # three copies of one seed would t-test three copies of one pair
+        with pytest.raises(ConfigError, match="distinct"):
+            compare_optimizers(tiny_config(optimizers=("adam", "adamw")), seeds=(42, 42, 42))
+
 
 class TestSweep:
     def test_grid_shape_and_cell_schema(self):
@@ -360,6 +365,10 @@ class TestSweep:
         direct = [train(direct_cfg, s) for s in (1, 2)]
         expected = np.mean([r.metrics.accuracy for r in direct])
         assert cell["metrics"]["accuracy"][0] == pytest.approx(expected)
+
+    def test_duplicate_seed_argument_rejected(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            sensitivity_sweep(tiny_config(), beta_grid=(0.9,), alpha_grid=(0.5,), seeds=(42, 42))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):

@@ -14,12 +14,8 @@ from dbsadam.models import (
     network_backward,
     network_forward,
 )
-from dbsadam.numerics import (
-    SeededRng,
-    finite_difference_gradient,
-    flatten_arrays,
-    unflatten_arrays,
-)
+from dbsadam.numerics import SeededRng, finite_difference_gradient
+from flat_params import flatten_arrays, unflatten_arrays
 
 
 def zero_cell(hidden, inputs):

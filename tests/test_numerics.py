@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from dbsadam.numerics import (
-    SeededRng,
-    finite_difference_gradient,
-    flatten_arrays,
-    sigmoid,
-    unflatten_arrays,
-)
+from dbsadam.numerics import SeededRng, finite_difference_gradient, sigmoid
+from flat_params import flatten_arrays, unflatten_arrays
 
 
 class TestActivations:
