@@ -6,8 +6,10 @@ backward pass, tensor by tensor: each LSTM direction's input weight W_x,
 recurrent weight W_h and bias b, then the dense and output layers. The
 sequences have 4 steps, so W_h is trained and checked too, except in layer
 2's backward direction l2b: the dense layer reads only the last fused step,
-where l2b has run one step, so its W_h is never read and net.params(T)
-leaves it out at every T (at one step, every W_h is left out). The scaled
+where l2b has run one step from zero state, so its W_h and its forget-gate
+rows are never read. net.params(T) leaves that W_h out and exposes only
+l2b's i, c, o rows W_x[H:] and b[H:] at every T (at one step, every
+direction is treated so). The scaled
 residual folds an absolute tolerance into the relative error so coordinates
 below the finite-difference noise floor do not produce false alarms.
 """

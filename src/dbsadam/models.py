@@ -10,9 +10,10 @@ where its backward direction l2b has read one input, so l2b runs that step.
 Parameters live in ndarrays owned by SequenceNetwork; params(steps) exposes
 the ones trained at sequence length steps as a flat name -> array dict whose
 entries the optimizers update in place. network_backward returns a gradient
-dict with the same keys and shapes. A direction that runs one step never
-reads its W_h (h_0 = 0), so that W_h has no gradient and is left out: all
-four at one step, and l2b's at every length.
+dict with the same keys and shapes. A direction that runs one step (all
+four at one step, and l2b at every length) never reads its W_h (h_0 = 0)
+or its forget gate (c_prev = 0): that W_h is left out, and the direction
+computes and trains only the i, c, o rows W_x[H:] and b[H:].
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng, sigmoid
+from .numerics import SeededRng
 
 GATE_NAMES = ("f", "i", "c", "o")
 
@@ -40,9 +41,6 @@ class LstmCellParams:
     @property
     def hidden_size(self) -> int:
         return self.W_h.shape[1]
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"W_x": self.W_x, "W_h": self.W_h, "b": self.b}
 
 
 def _glorot(rng: SeededRng, shape: tuple[int, int]) -> np.ndarray:
@@ -64,8 +62,26 @@ def init_lstm_params(hidden: int, input_size: int, rng: SeededRng) -> LstmCellPa
 
 
 def _gate_blocks(a: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
-    """Views of the f, i, c, o blocks along the last axis of a (..., 4H)."""
-    return tuple(a[..., g * hidden : (g + 1) * hidden] for g in range(4))
+    """Views of the gate blocks along the last axis of a (..., nH): f, i, c,
+    o when n = 4, and i, c, o when a one-step direction leaves f out."""
+    return tuple(a[..., g * hidden : (g + 1) * hidden] for g in range(a.shape[-1] // hidden))
+
+
+def _gate_sigmoid(a: np.ndarray) -> np.ndarray:
+    """Logistic function in place as 0.5 * tanh(0.5 a) + 0.5: no temporaries,
+    and tanh cannot overflow. Within 2.2e-16 of 1 / (1 + e^-a); it rounds to
+    exactly 0 for a below about -38."""
+    a *= 0.5
+    np.tanh(a, out=a)
+    a *= 0.5
+    a += 0.5
+    return a
+
+
+def _trained_rows(cell: LstmCellParams, one_step: bool) -> slice:
+    """Rows of W_x and b that a direction reads: a direction that runs one
+    step starts from c_prev = 0, so it never reads its forget gate."""
+    return slice(cell.hidden_size if one_step else 0, None)
 
 
 def _sequence_forward(cell: LstmCellParams, xs: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -76,29 +92,49 @@ def _sequence_forward(cell: LstmCellParams, xs: np.ndarray) -> tuple[np.ndarray,
     h = o*tanh(c). The input product of every step is hoisted out of the
     recurrence as one (B*T, F) @ W_x.T product (Appleyard, Kocisky & Blunsom
     2016, arXiv:1604.01946); the recurrent product h_prev @ W_h.T is added
-    from t = 1 on, since h_0 = 0. Returns hs (B, T, H) and the
-    cache for _sequence_backward: the inputs, the activated gates (B, T, 4H)
-    and the cell states (B, T, H).
+    from t = 1 on, since h_0 = 0. At T = 1, c_prev = 0, so the forget gate
+    is left out and only the i, c, o rows W_x[H:] and b[H:] are projected.
+    Returns hs (B, T, H) and the cache for _sequence_backward: the inputs,
+    the activated gates (B, T, 4H), or (B, 1, 3H) at T = 1, and the cell
+    states (B, T, H).
     """
     batch, steps, n_in = xs.shape
     hidden = cell.hidden_size
-    gates = xs.reshape(batch * steps, n_in) @ cell.W_x.T
-    gates += cell.b
-    gates = gates.reshape(batch, steps, 4 * hidden)  # pre-activations
+    rows = _trained_rows(cell, steps == 1)
+    gates = xs.reshape(batch * steps, n_in) @ cell.W_x[rows].T
+    gates += cell.b[rows]
+    gates = gates.reshape(batch, steps, -1)  # pre-activations
     hs = np.empty((batch, steps, hidden))
     cs = np.empty((batch, steps, hidden))
     for t in range(steps):
         a = gates[:, t]
         if t:
             a += hs[:, t - 1] @ cell.W_h.T
-        a[:, : 2 * hidden] = sigmoid(a[:, : 2 * hidden])  # f, i
-        a[:, 3 * hidden :] = sigmoid(a[:, 3 * hidden :])  # o
-        f, i, c_tilde, o = _gate_blocks(a, hidden)  # views into gates
+        *f, i, c_tilde, o = _gate_blocks(a, hidden)  # views into gates
+        _gate_sigmoid(a[:, : -2 * hidden])  # f (when present) and i
+        _gate_sigmoid(o)
         np.tanh(c_tilde, out=c_tilde)
-        c = f * cs[:, t - 1] + i * c_tilde if t else i * c_tilde
-        cs[:, t] = c
-        hs[:, t] = o * np.tanh(c)
+        c, h = cs[:, t], hs[:, t]
+        np.multiply(i, c_tilde, out=c)
+        if t:
+            c += f[0] * cs[:, t - 1]
+        np.tanh(c, out=h)
+        h *= o
     return hs, {"xs": xs, "gates": gates, "c": cs, "h": hs}
+
+
+def _sigmoid_slope(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """s * (1 - s), the slope of a sigmoid gate s, written into out."""
+    np.subtract(1.0, s, out=out)
+    out *= s
+    return out
+
+
+def _tanh_slope(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 - t^2, the slope of a tanh output t, written into out."""
+    np.multiply(t, t, out=out)
+    np.subtract(1.0, out, out=out)
+    return out
 
 
 def _sequence_backward(
@@ -109,9 +145,11 @@ def _sequence_backward(
     The recurrence only carries the pre-activation gradients da (B, T, 4H)
     back through h; dW_x, db and the input gradient are then one product
     each over all steps. dW_h sums da_t^T h_{t-1} over t >= 1, so it is
-    exactly zero at T = 1 and is formed only for T > 1. Returns the
-    gate-parameter gradients and the gradient w.r.t. the inputs (B, T, F),
-    or None for it when need_dx is False.
+    exactly zero at T = 1 and is formed only for T > 1. At T = 1 the forget
+    gate was never computed, so da has 3H columns and dW_x (3H, F) and
+    db (3H,) cover the rows W_x[H:] and b[H:]. Returns the gate-parameter
+    gradients and the gradient w.r.t. the inputs (B, T, F), or None for it
+    when need_dx is False.
     """
     batch, steps, hidden = d_hs.shape
     xs, gates, cs, hs = cache["xs"], cache["gates"], cache["c"], cache["h"]
@@ -119,36 +157,42 @@ def _sequence_backward(
     da = np.empty_like(gates)
     dh_next = dc_next = 0.0
     for t in range(steps - 1, -1, -1):
-        f, i, c_tilde, o = _gate_blocks(gates[:, t], hidden)
-        c_prev = cs[:, t - 1] if t else 0.0
+        *f, i, c_tilde, o = _gate_blocks(gates[:, t], hidden)
+        *da_f, da_i, da_c, da_o = _gate_blocks(da[:, t], hidden)
         tanh_c = tanh_cs[:, t]
 
         dh = d_hs[:, t] + dh_next
-        do = dh * tanh_c
-        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-        df = dc * c_prev
-        di = dc * c_tilde
-        dc_tilde = dc * i
-        dc_next = dc * f
-
-        # back through the gate nonlinearities to pre-activations (B, 4H)
-        da_f, da_i, da_c, da_o = _gate_blocks(da[:, t], hidden)
-        np.multiply(df * f, 1.0 - f, out=da_f)
-        np.multiply(di * i, 1.0 - i, out=da_i)
-        np.multiply(dc_tilde, 1.0 - c_tilde * c_tilde, out=da_c)
-        np.multiply(do * o, 1.0 - o, out=da_o)
+        # dc = dc_next + dh * o * (1 - tanh(c)^2), with da_c as scratch
+        dc = dh * o
+        dc *= _tanh_slope(tanh_c, da_c)
+        dc += dc_next
+        # back through the gate nonlinearities to pre-activations (B, nH)
+        _sigmoid_slope(o, da_o)
+        da_o *= dh
+        da_o *= tanh_c
+        _sigmoid_slope(i, da_i)
+        da_i *= dc
+        da_i *= c_tilde
+        _tanh_slope(c_tilde, da_c)
+        da_c *= dc
+        da_c *= i
+        if f:
+            _sigmoid_slope(f[0], da_f[0])
+            da_f[0] *= dc
+            da_f[0] *= cs[:, t - 1] if t else 0.0
         if t:
+            dc_next = dc * f[0]
             dh_next = da[:, t] @ cell.W_h
 
     n_in = xs.shape[2]
-    da_flat = da.reshape(batch * steps, 4 * hidden)
+    da_flat = da.reshape(batch * steps, -1)
     grads = {"W_x": da_flat.T @ xs.reshape(batch * steps, n_in)}
     if steps > 1:
         grads["W_h"] = da[:, 1:].reshape(-1, 4 * hidden).T @ hs[:, :-1].reshape(-1, hidden)
     grads["b"] = da_flat.sum(axis=0)
     if not need_dx:
         return grads, None
-    return grads, (da_flat @ cell.W_x).reshape(batch, steps, n_in)
+    return grads, (da_flat @ cell.W_x[_trained_rows(cell, steps == 1)]).reshape(batch, steps, n_in)
 
 
 class SequenceNetwork:
@@ -189,16 +233,21 @@ class SequenceNetwork:
 
     def params(self, steps: int | None = None) -> dict[str, np.ndarray]:
         """Live views of the tensors trained at sequence length steps, keyed
-        by a stable name. The W_h of a direction that runs one step is left
-        out: all four at steps == 1, and l2b's at every steps. No output
-        reads it, so an optimizer stepping these params leaves it at its
-        initial value (AdamW does not decay it). With steps omitted, every
-        tensor is returned."""
+        by a stable name. A direction that runs one step (all four at
+        steps == 1, and l2b at every steps) reads neither its W_h (h_0 = 0)
+        nor its forget gate (c_prev = 0): its W_h is left out, and its W_x
+        and b are the views W_x[H:] and b[H:] of the i, c, o rows. An
+        optimizer stepping these params leaves the unread weights at their
+        initial values (AdamW does not decay them). With steps omitted, every
+        tensor is returned whole."""
         out: dict[str, np.ndarray] = {}
         for prefix, cell in (("l1f", self.l1f), ("l1b", self.l1b), ("l2f", self.l2f), ("l2b", self.l2b)):
-            for name, arr in cell.tensors().items():
-                if name != "W_h" or steps is None or (steps > 1 and prefix != "l2b"):
-                    out[f"{prefix}.{name}"] = arr
+            one_step = steps is not None and (steps == 1 or prefix == "l2b")
+            rows = _trained_rows(cell, one_step)
+            out[f"{prefix}.W_x"] = cell.W_x[rows]
+            if not one_step:
+                out[f"{prefix}.W_h"] = cell.W_h
+            out[f"{prefix}.b"] = cell.b[rows]
         out["dense.W"] = self.dense_w
         out["dense.b"] = self.dense_b
         out["head.W"] = self.head_w

@@ -10,21 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "sigmoid",
     "finite_difference_gradient",
     "SeededRng",
 ]
-
-
-def sigmoid(x):
-    """Logistic function, sign-split so exp never overflows.
-
-    x >= 0: 1 / (1 + e^-x);  x < 0: e^x / (1 + e^x). Output in (0, 1).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    t = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return float(out) if out.ndim == 0 else out
 
 
 def finite_difference_gradient(f, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

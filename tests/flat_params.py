@@ -31,3 +31,25 @@ def unflatten_arrays(flat: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]
     if offset != flat.size:
         raise ValueError(f"layout covers {offset} values, vector has {flat.size}")
     return out
+
+
+def embed_gradients(
+    params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten grads over the full tensors of params, each gradient placed in
+    the trailing rows of its tensor.
+
+    A gradient may cover a tensor only in part: a one-step LSTM direction
+    trains the trailing rows W_x[H:] and b[H:] of its W_x and b, and no row
+    of its W_h. Returns the flat gradient in flatten_arrays(params) order,
+    0 where no gradient reaches, and the flat mask of those coordinates.
+    """
+    full, untrained = {}, {}
+    for name, arr in params.items():
+        grad = grads.get(name, np.zeros((0, *arr.shape[1:])))
+        start = arr.shape[0] - grad.shape[0]
+        full[name] = np.zeros_like(arr)
+        full[name][start:] = grad
+        untrained[name] = np.ones(arr.shape)
+        untrained[name][start:] = 0.0
+    return flatten_arrays(full)[0], flatten_arrays(untrained)[0] == 1.0

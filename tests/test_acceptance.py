@@ -28,7 +28,7 @@ from dbsadam.optimizers import (
     observe_batch,
 )
 from dbsadam.resampling import enn_filter, smote_enn, smote_generate
-from flat_params import flatten_arrays, unflatten_arrays
+from flat_params import embed_gradients, flatten_arrays, unflatten_arrays
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK_CFG = REPO_ROOT / "configs" / "benchmark.cfg"
@@ -151,10 +151,10 @@ def _network_gradient_error(seed: int, loss_config: LossConfig) -> float:
     assign(base)
     logits, cache = network_forward(net, xs)
     grads = network_backward(net, cache, loss_gradient(loss_config, logits, labels))
-    # a tensor with no gradient (l2b.W_h, which no output reads) is
-    # untrained: its numeric derivative must be exactly 0
-    analytic, _ = flatten_arrays({k: grads.get(k, np.zeros_like(v)) for k, v in params.items()})
-    untrained = np.concatenate([np.full(v.size, k not in grads) for k, v in params.items()])
+    # a coordinate no gradient covers is untrained (l2b runs one step, so
+    # no output reads its W_h or its forget rows W_x[:H], b[:H]): its
+    # numeric derivative must be exactly 0
+    analytic, untrained = embed_gradients(params, grads)
     assert np.all(numeric[untrained] == 0.0)
     # scaled residual: < 1e-5 iff |a - n| < 1e-8 + 1e-5 * max(|a|, |n|); the
     # absolute escape covers coordinates below the central-difference noise

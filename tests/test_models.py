@@ -15,7 +15,7 @@ from dbsadam.models import (
     network_forward,
 )
 from dbsadam.numerics import SeededRng, finite_difference_gradient
-from flat_params import flatten_arrays, unflatten_arrays
+from flat_params import embed_gradients, flatten_arrays, unflatten_arrays
 
 
 def zero_cell(hidden, inputs):
@@ -65,8 +65,9 @@ class TestLstmCell:
     def test_all_zero_parameters(self):
         cell = zero_cell(3, 2)
         _, cache = _sequence_forward(cell, np.zeros((1, 1, 2)))
-        f, i, c_tilde, o = np.split(cache["gates"][:, 0], 4, axis=1)
-        for g in (f, i, o):
+        # one step from c_prev = 0: the forget gate is not computed
+        i, c_tilde, o = np.split(cache["gates"][:, 0], 3, axis=1)
+        for g in (i, o):
             assert np.allclose(g, 0.5)
         assert np.allclose(c_tilde, 0.0)
         assert np.allclose(cache["c"][:, 0], 0.0)
@@ -94,14 +95,16 @@ class TestLstmCell:
 
     def test_gate_ranges_and_hidden_bound(self):
         cell = random_cell(4, 3, 7)
-        xs = SeededRng(22).normal(size=(1, 20, 3)) * 3
-        hs, cache = _sequence_forward(cell, xs)
-        assert cache["gates"].shape == (1, 20, 16)
-        f, i, _, o = np.split(cache["gates"], 4, axis=2)
-        for g in (f, i, o):
-            assert np.all((g > 0) & (g < 1))
-        assert np.all(np.abs(hs) < 1)
-        assert np.all(np.isfinite(cache["c"]))
+        # one step caches i, c, o only; more steps cache f, i, c, o
+        for steps, n_gates in ((20, 4), (1, 3)):
+            xs = SeededRng(22).normal(size=(1, steps, 3)) * 3
+            hs, cache = _sequence_forward(cell, xs)
+            assert cache["gates"].shape == (1, steps, 4 * n_gates)
+            *sigmoid_gates, _, o = np.split(cache["gates"], n_gates, axis=2)
+            for g in (*sigmoid_gates, o):
+                assert np.all((g > 0) & (g < 1))
+            assert np.all(np.abs(hs) < 1)
+            assert np.all(np.isfinite(cache["c"]))
 
 
 def tiny_network(seed, dropout=0.0, **kwargs):
@@ -200,10 +203,11 @@ def gradient_check(net, xs, labels, loss_config, mode="eval", mask_seed=0, tol=1
     logits, cache = network_forward(net, xs, mode=mode, rng=rng)
     grads = network_backward(net, cache, loss_gradient(loss_config, logits, labels))
     assert grads.keys() == net.params(xs.shape[1]).keys()
-    # every tensor is perturbed; one with no analytic entry (every W_h at
-    # T = 1, l2b's at any T) must have a numeric derivative of exactly 0
-    analytic, _ = flatten_arrays({k: grads.get(k, np.zeros_like(v)) for k, v in params.items()})
-    untrained = np.concatenate([np.full(v.size, k not in grads) for k, v in params.items()])
+    # every tensor is perturbed whole; a coordinate no analytic gradient
+    # covers (every W_h at T = 1, l2b's at any T, and the forget rows of a
+    # one-step direction, whose gradient covers only W_x[H:] and b[H:]) must
+    # have a numeric derivative of exactly 0
+    analytic, untrained = embed_gradients(params, grads)
     assert np.all(numeric[untrained] == 0.0)
     # scaled residual: < 1e-5 iff |a - n| < 1e-8 + 1e-5 * max(|a|, |n|); the
     # absolute escape covers coordinates below the h=1e-5 central-difference
@@ -283,14 +287,60 @@ class TestNetworkBackward:
 
     @pytest.mark.parametrize("steps", [1, 2, 3])
     def test_gradient_keys_are_the_trained_params(self, steps):
+        from dbsadam.optimizers import OptimizerConfig, OptimizerState, adamw_step
+
         net = tiny_network(24, dropout=0.3)
         xs = SeededRng(75).normal(size=(2, steps, 3))
         logits, cache = network_forward(net, xs, mode="train", rng=SeededRng(4))
         grads = network_backward(net, cache, np.ones_like(logits))
-        assert grads.keys() == net.params(steps).keys()
+        params = net.params(steps)
+        assert grads.keys() == params.keys()
+        assert all(grads[k].shape == p.shape for k, p in params.items())
         trained_w_h = {k for k in grads if k.endswith(".W_h")}
         assert trained_w_h == ({"l1f.W_h", "l1b.W_h", "l2f.W_h"} if steps > 1 else set())
         assert len(net.params()) == 16
+        # a one-step direction trains its i, c, o rows through views of the
+        # full tensors, and never moves its forget rows
+        one_step = ("l1f", "l1b", "l2f", "l2b") if steps == 1 else ("l2b",)
+        partial = {f"{prefix}.{name}" for prefix in one_step for name in ("W_x", "b")}
+        full = net.params()
+        for k, p in params.items():
+            assert np.shares_memory(p, full[k]) and p.flags.c_contiguous, k
+            rows = full[k].shape[0]
+            assert p.shape == ((3 * rows // 4, *full[k].shape[1:]) if k in partial else full[k].shape), k
+        forget = {k: full[k][: full[k].shape[0] // 4].copy() for k in partial}
+        state = OptimizerState(params)
+        for seed in range(10):
+            logits, cache = network_forward(net, xs, mode="train", rng=SeededRng(seed))
+            adamw_step(params, network_backward(net, cache, np.ones_like(logits)), state, OptimizerConfig())
+        for k, rows in forget.items():
+            assert np.array_equal(full[k][: rows.shape[0]], rows), k
+        assert not np.array_equal(net.l2b.W_x, tiny_network(24).l2b.W_x)
+
+    def test_forget_rows_are_never_read_in_one_step_directions(self):
+        # c_prev = 0 in a direction that runs one step, so NaN in its forget
+        # rows of W_x and b must leave the logits and every gradient
+        # bit-equal, in both modes: all four directions at T = 1, and l2b,
+        # which runs one step at any T, at T = 2 and T = 3
+        labels = one_hot(np.array([0, 2, 1, 1]), 3)
+        config = LossConfig(kind="focal", gamma=2.0, alpha=0.25)
+        for steps, prefixes in ((1, ("l1f", "l1b", "l2f", "l2b")), (2, ("l2b",)), (3, ("l2b",))):
+            xs = SeededRng(79).normal(size=(4, steps, 3))
+            clean, poisoned = tiny_network(28, dropout=0.3), tiny_network(28, dropout=0.3)
+            for prefix in prefixes:
+                cell = getattr(poisoned, prefix)
+                cell.W_x[: cell.hidden_size] = np.nan
+                cell.b[: cell.hidden_size] = np.nan
+            for mode in ("train", "eval"):
+                results = []
+                for net in (clean, poisoned):
+                    logits, cache = network_forward(net, xs, mode=mode, rng=SeededRng(5))
+                    results.append((logits, network_backward(net, cache, loss_gradient(config, logits, labels))))
+                (a, grads_a), (b, grads_b) = results
+                assert np.array_equal(a, b), (steps, mode)
+                assert grads_a.keys() == grads_b.keys()
+                for k in grads_a:
+                    assert np.array_equal(grads_a[k], grads_b[k]), (steps, mode, k)
 
     def test_adamw_leaves_recurrent_weights_at_init_on_one_step_rows(self):
         from dbsadam.optimizers import OptimizerConfig, OptimizerState, adamw_step
@@ -362,8 +412,12 @@ class TestNetworkBackward:
                 lambda x: loss(cell.W_x, cell.W_h, cell.b, x.reshape(xs.shape)), xs.ravel()),
         }
         if steps == 1:
-            # no output reads W_h, so it gets no gradient entry
+            # no output reads W_h or the forget rows of W_x and b: W_h gets
+            # no gradient entry, and dW_x, db cover the rows W_x[H:], b[H:]
             assert "W_h" not in grads and np.all(numeric["W_h"] == 0.0)
+            for name, forget in (("W_x", hidden * inputs), ("b", hidden)):
+                assert np.all(numeric[name][:forget] == 0.0), name
+                numeric[name] = numeric[name][forget:]
         for name, analytic in (*grads.items(), ("x", dxs)):
             assert np.allclose(analytic.ravel(), numeric[name], rtol=1e-6, atol=1e-8), name
         assert skipped.keys() == grads.keys()

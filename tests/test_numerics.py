@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
-from dbsadam.numerics import SeededRng, finite_difference_gradient, sigmoid
+from dbsadam.models import _gate_sigmoid
+from dbsadam.numerics import SeededRng, finite_difference_gradient
 from flat_params import flatten_arrays, unflatten_arrays
+
+
+def sigmoid(x):
+    # the LSTM's in-place gate activation on a copy of x
+    return _gate_sigmoid(np.array(x, dtype=np.float64))
+
+
+def sign_split_sigmoid(x):
+    # exact reference: x >= 0 gives 1 / (1 + e^-x), x < 0 gives
+    # e^x / (1 + e^x), so exp never overflows and tiny values keep their
+    # relative precision
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
 class TestActivations:
@@ -17,6 +31,13 @@ class TestActivations:
         xs = np.array([-700.0, -50.0, 50.0, 700.0])
         s = sigmoid(xs)
         assert np.all(np.isfinite(s)) and np.all((s >= 0) & (s <= 1))
+        # 0.5 * tanh(0.5 x) + 0.5 is within one machine epsilon (2.2e-16)
+        # of the sign-split form everywhere; below about x = -37.98,
+        # tanh(0.5 x) rounds to -1 and the result to exactly 0, where the
+        # reference is still positive (3.1e-17 at x = -38)
+        grid = np.concatenate([np.linspace(-60.0, 60.0, 200_001), xs])
+        assert np.max(np.abs(sigmoid(grid) - sign_split_sigmoid(grid))) <= np.finfo(np.float64).eps
+        assert sigmoid(-38.0) == 0.0 < sign_split_sigmoid(-38.0)
 
 
 class TestFiniteDifference:
@@ -29,7 +50,7 @@ class TestFiniteDifference:
         assert np.allclose(grad, 0.0, atol=1e-10)
 
     def test_sigmoid_slope_at_zero(self):
-        grad = finite_difference_gradient(lambda t: sigmoid(t[0]), np.array([0.0]))
+        grad = finite_difference_gradient(lambda t: sigmoid(t)[0], np.array([0.0]))
         assert grad[0] == pytest.approx(0.25, abs=1e-9)
 
     def test_nonfinite_reports_coordinate(self):
