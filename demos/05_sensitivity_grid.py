@@ -11,11 +11,13 @@ from dbsadam import load_config, sensitivity_sweep
 
 config = load_config("configs/benchmark.cfg")
 config.output_dir = "out/sweep_demo"
+config.beta_grid = (0.9, 0.95)
+config.alpha_grid = (0.3, 0.5)
+config.sweep_seeds = 2  # the first two configured seeds: 42 and 123
 
-betas = (0.9, 0.95)
-alphas = (0.3, 0.5)
-print(f"sweeping beta in {betas} x alpha in {alphas}, 2 seeds per cell...\n")
-report = sensitivity_sweep(config, beta_grid=betas, alpha_grid=alphas, seeds=(42, 123))
+print(f"sweeping beta in {config.beta_grid} x alpha in {config.alpha_grid}, "
+      f"{config.sweep_seeds} seeds per cell...\n")
+report = sensitivity_sweep(config)
 
 print(f"{'beta':>6} {'alpha':>6} {'accuracy':>10} {'precision':>10} {'recall':>10}")
 for cell in report.sweep:

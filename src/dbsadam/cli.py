@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train, compare, sweep, resample, report. Every config-file key
-is also available as a --key flag that overrides the file; --beta and --alpha
-are shorthands for ema_beta and alpha_mix. Exit codes: 0 success, 1 config or
+is also available as a --key flag that overrides the file, except
+output_dir, whose flag is --out. Exit codes: 0 success, 1 config or
 validation error, 2 runtime failure.
 """
 
@@ -16,6 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from .data import class_distribution
+from .evaluation import aggregate_runs
 from .harness import (
     ComparisonReport,
     ConfigError,
@@ -30,11 +31,12 @@ from .harness import (
     train,
 )
 
-_ALIASES = {"beta": "ema_beta", "alpha": "alpha_mix", "seed": "seeds",
-            "betas": "beta_grid", "alphas": "alpha_grid"}
-
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: every key has exactly one flag spelling
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on usage errors; the interface reserves 2 for runtime
     # failures, so surface usage problems as config errors instead
     def error(self, message):
@@ -43,30 +45,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--out", help="output directory (overrides output_dir)")
-    taken = {"config", "out", "input"}
     group = parser.add_argument_group("config overrides")
     for f in fields(ExperimentConfig):
-        if f.name not in taken:
-            group.add_argument(f"--{f.name}", metavar="V", help=f"default: {f.default!r}")
-    for alias, target in _ALIASES.items():
-        group.add_argument(f"--{alias}", metavar="V", help=f"alias for --{target}")
+        flag = "--out" if f.name == "output_dir" else f"--{f.name}"
+        group.add_argument(flag, dest=f.name, metavar="V", help=f"default: {f.default!r}")
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides: dict[str, str] = {}
+    overrides = {}
     for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
+        value = getattr(args, f.name)
         if value is not None:
             overrides[f.name] = value
-    for alias, target in _ALIASES.items():
-        value = getattr(args, alias, None)
-        if value is not None:
-            overrides[target] = value
-    config = load_config(args.config, overrides)
-    if args.out:
-        config.output_dir = args.out
-    return config
+    return load_config(args.config, overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,42 +77,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_train(config: ExperimentConfig) -> int:
+def _train_report(config: ExperimentConfig) -> tuple[ComparisonReport, list[str]]:
     run = train(config, config.seeds[0])
-    report = ComparisonReport(runs=[run])
-    from .evaluation import aggregate_runs
-
-    report.aggregates[run.optimizer] = aggregate_runs([run.metrics])
-    paths = emit_report(report, config.output_dir)
+    report = ComparisonReport(runs=[run], aggregates={run.optimizer: aggregate_runs([run.metrics])})
     scalars = run.metrics.scalar_metrics()
-    print(
+    return report, [
         f"{run.optimizer} seed={run.seed}: accuracy={scalars['accuracy']:.4f} "
         f"loss={scalars['loss']:.4f} best_epoch={run.best_epoch}/{run.epochs_run}"
-    )
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+    ]
 
 
-def _cmd_compare(config: ExperimentConfig) -> int:
+def _compare_report(config: ExperimentConfig) -> tuple[ComparisonReport, list[str]]:
     report = compare_optimizers(config)
-    paths = emit_report(report, config.output_dir)
+    lines = []
     for name, metrics in report.aggregates.items():
         mean, std = metrics["accuracy"]
-        print(f"{name}: accuracy {mean:.4f} +/- {std if std is None else round(std, 4)}")
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+        lines.append(f"{name}: accuracy {mean:.4f} +/- {std if std is None else round(std, 4)}")
+    return report, lines
 
 
-def _cmd_sweep(config: ExperimentConfig) -> int:
+def _sweep_report(config: ExperimentConfig) -> tuple[ComparisonReport, list[str]]:
     report = sensitivity_sweep(config)
-    paths = emit_report(report, config.output_dir)
-    for cell in report.sweep:
-        acc = cell["metrics"]["accuracy"][0]
-        print(f"beta={cell['beta']:g} alpha={cell['alpha']:g}: accuracy {acc:.4f}")
-    for path in paths:
-        print(f"wrote {path}")
+    return report, [
+        f"beta={cell['beta']:g} alpha={cell['alpha']:g}: "
+        f"accuracy {cell['metrics']['accuracy'][0]:.4f}"
+        for cell in report.sweep
+    ]
+
+
+_REPORTS = {"train": _train_report, "compare": _compare_report, "sweep": _sweep_report}
+
+
+def _emit(report: ComparisonReport, out_dir: str, lines: list[str],
+          formats: tuple[str, ...] = ("json", "csv")) -> int:
+    """Write the report's files, then print the summary lines and the paths."""
+    paths = emit_report(report, out_dir, formats)
+    for line in lines + [f"wrote {path}" for path in paths]:
+        print(line)
     return 0
 
 
@@ -148,28 +140,17 @@ def _cmd_resample(config: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    report = report_from_json(args.input)
-    paths = emit_report(report, args.out, formats=("csv",))
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "report":
-            return _cmd_report(args)
+            return _emit(report_from_json(args.input), args.out, [], formats=("csv",))
         config = _config_from_args(args)
-        if args.command == "train":
-            return _cmd_train(config)
-        if args.command == "compare":
-            return _cmd_compare(config)
-        if args.command == "sweep":
-            return _cmd_sweep(config)
-        return _cmd_resample(config)
+        if args.command == "resample":
+            return _cmd_resample(config)
+        report, lines = _REPORTS[args.command](config)
+        return _emit(report, config.output_dir, lines)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -146,6 +147,10 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        if self.data_seed < 0 or min(self.seeds) < 0:
+            raise ConfigError(
+                f"data_seed and seeds must be >= 0, got {self.data_seed} and {self.seeds}"
+            )
         if self.optimizer not in OPTIMIZER_NAMES:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZER_NAMES}")
         for name in self.optimizers:
@@ -162,6 +167,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if self.dataset != "synthetic" and not self.schema_file:
             raise ConfigError("a CSV dataset requires schema_file")
+        if not self.output_dir:
+            raise ConfigError("output_dir must be non-empty")
         if self.sweep_seeds < 1:
             raise ConfigError(f"sweep_seeds must be >= 1, got {self.sweep_seeds}")
         if self.sequence_chunks < 1:
@@ -218,22 +225,21 @@ def _parse_value(raw: str, target_type) -> object:
     raise ConfigError(f"unsupported config type {target_type}")
 
 
-_TUPLE_ELEM = {"drop_labels": str, "synthetic_priors": float, "optimizers": str,
-               "seeds": int, "beta_grid": float, "alpha_grid": float}
+_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def set_config_key(config: ExperimentConfig, key: str, raw: str) -> None:
-    """Assign one config field from its textual form."""
-    by_name = {f.name: f for f in fields(ExperimentConfig)}
-    if key not in by_name:
+    """Assign one config field from its textual form; a tuple field takes a
+    comma-separated list of its element type."""
+    if key not in _KEY_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
-    current = getattr(config, key)
-    if key in _TUPLE_ELEM:
-        elem = _TUPLE_ELEM[key]
+    target = _KEY_TYPES[key]
+    if typing.get_origin(target) is tuple:
+        elem = typing.get_args(target)[0]
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         setattr(config, key, tuple(_parse_value(p, elem) for p in parts))
     else:
-        setattr(config, key, _parse_value(raw, type(current)))
+        setattr(config, key, _parse_value(raw, target))
 
 
 def load_config(path: str | None = None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -477,6 +483,19 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
     )
 
 
+def _run_seeds(report: ComparisonReport, config: ExperimentConfig, seeds: tuple[int, ...],
+               tag: str = "") -> tuple[list[RunResult], dict[str, tuple[float, float | None]]]:
+    """Train config on each seed in order, append the runs to report, and
+    return them with their aggregated metrics."""
+    runs = []
+    for seed in seeds:
+        run = train(config, seed)
+        run.tag = tag
+        runs.append(run)
+    report.runs.extend(runs)
+    return runs, aggregate_runs([r.metrics for r in runs])
+
+
 def compare_optimizers(
     config: ExperimentConfig, seeds: tuple[int, ...] | None = None
 ) -> ComparisonReport:
@@ -496,11 +515,9 @@ def compare_optimizers(
     report = ComparisonReport()
     by_name: dict[str, list[RunResult]] = {}
     for name in config.optimizers:
-        cfg = replace(config, optimizer=name)
-        runs = [train(cfg, seed) for seed in seeds]
-        by_name[name] = runs
-        report.runs.extend(runs)
-        report.aggregates[name] = aggregate_runs([r.metrics for r in runs])
+        by_name[name], report.aggregates[name] = _run_seeds(
+            report, replace(config, optimizer=name), seeds
+        )
 
     for a, b in itertools.combinations(config.optimizers, 2):
         for metric in METRIC_KEYS:
@@ -513,43 +530,25 @@ def compare_optimizers(
     return report
 
 
-def sensitivity_sweep(
-    config: ExperimentConfig,
-    beta_grid: tuple[float, ...] | None = None,
-    alpha_grid: tuple[float, ...] | None = None,
-    seeds: tuple[int, ...] | None = None,
-) -> ComparisonReport:
-    """Cross-product sweep of the EMA decay and mix weight for the
-    difficulty-scaled optimizer; each cell aggregates over the sweep seeds."""
-    betas = tuple(beta_grid) if beta_grid is not None else config.beta_grid
-    alphas = tuple(alpha_grid) if alpha_grid is not None else config.alpha_grid
-    if seeds is None:
-        if config.sweep_seeds > len(config.seeds):
-            raise ConfigError(
-                f"sweep_seeds={config.sweep_seeds} exceeds the {len(config.seeds)} configured seeds"
-            )
-        seeds = config.seeds[: config.sweep_seeds]
-    seeds = tuple(seeds)
-    replace(config, beta_grid=betas, alpha_grid=alphas, seeds=seeds).validate()
-    if not betas or not alphas:
+def sensitivity_sweep(config: ExperimentConfig) -> ComparisonReport:
+    """Cross-product sweep of the EMA decay (beta_grid) and mix weight
+    (alpha_grid) for the difficulty-scaled optimizer; each cell aggregates
+    over the first sweep_seeds of the configured seeds."""
+    config.validate()
+    if config.sweep_seeds > len(config.seeds):
+        raise ConfigError(
+            f"sweep_seeds={config.sweep_seeds} exceeds the {len(config.seeds)} configured seeds"
+        )
+    if not config.beta_grid or not config.alpha_grid:
         raise ConfigError("sweep grids must be non-empty")
+    seeds = config.seeds[: config.sweep_seeds]
 
     report = ComparisonReport()
-    for beta in betas:
-        for alpha in alphas:
-            cell_cfg = replace(config, optimizer="dbs_adam", ema_beta=beta, alpha_mix=alpha)
-            tag = f"beta={beta:g},alpha={alpha:g}"
-            runs = []
-            for seed in seeds:
-                run = train(cell_cfg, seed)
-                run.tag = tag
-                runs.append(run)
-            report.runs.extend(runs)
-            cell = {"beta": beta, "alpha": alpha, "seeds": list(seeds)}
-            cell["metrics"] = {
-                k: list(v) for k, v in aggregate_runs([r.metrics for r in runs]).items()
-            }
-            report.sweep.append(cell)
+    for beta, alpha in itertools.product(config.beta_grid, config.alpha_grid):
+        cell_cfg = replace(config, optimizer="dbs_adam", ema_beta=beta, alpha_mix=alpha)
+        _, metrics = _run_seeds(report, cell_cfg, seeds, tag=f"beta={beta:g},alpha={alpha:g}")
+        report.sweep.append({"beta": beta, "alpha": alpha, "seeds": list(seeds),
+                             "metrics": {k: list(v) for k, v in metrics.items()}})
     return report
 
 

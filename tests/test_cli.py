@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dbsadam.cli import main
+from dbsadam.cli import build_parser, main
+from dbsadam.harness import ExperimentConfig
 
 TINY = """
 synthetic_samples = 240
@@ -41,7 +43,7 @@ class TestTrainCommand:
 
     def test_seed_override(self, config_file, tmp_path):
         out = tmp_path / "out"
-        code = main(["train", "--config", config_file, "--seed", "5", "--out", str(out)])
+        code = main(["train", "--config", config_file, "--seeds", "5", "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
         assert payload["runs"][0]["seed"] == 5
@@ -83,12 +85,20 @@ class TestExitCodes:
             ("--synthetic_priors", ""),
             ("--synthetic_priors", "0.5,nan,0.2"),
             ("--optimizers", "adam,adam"),
-            ("--betas", "0.9,1.5"),
-            ("--alphas", "0.5,1.2"),
+            ("--beta_grid", "0.9,1.5"),
+            ("--alpha_grid", "0.5,1.2"),
+            ("--out", ""),
             # removed keys are unknown flags now
             ("--eps_inside_sqrt", "true"),
             ("--grad_norm_mode", "mean_per_tensor"),
             ("--aggregation", "mean"),
+            # so are the removed shorthands and prefix abbreviations
+            ("--seed", "5"),
+            ("--beta", "0.5"),
+            ("--alpha", "0.5"),
+            ("--betas", "0.9"),
+            ("--alphas", "0.5"),
+            ("--dense", "4"),
         ]:
             assert main(["train", "--config", config_file, *flags]) == 1, flags
 
@@ -103,12 +113,39 @@ class TestExitCodes:
         ("weight_decay", "nan"),
         ("adabound_final_lr", "-1"),
         ("focal_alpha", "inf"),
+        ("seeds", "-5"),
+        ("seeds", "1,-2"),
+        ("data_seed", "-1"),
     ])
     def test_non_finite_or_out_of_range_value_is_config_error(self, config_file, key, value):
         assert main(["train", "--config", config_file, f"--{key}", value]) == 1
 
     def test_unknown_flag_is_config_error(self):
         assert main(["train", "--definitely-not-a-flag", "1"]) == 1
+
+
+class TestFlagSurface:
+    def test_one_flag_per_config_key(self):
+        # --out is the one flag not spelled after its key (output_dir)
+        expected = {"--config", "--out"} | {
+            f"--{f.name}" for f in fields(ExperimentConfig) if f.name != "output_dir"
+        }
+        parser = build_parser()
+        commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+        for name in ("train", "compare", "sweep", "resample"):
+            flags = {
+                opt for action in commands[name]._actions for opt in action.option_strings
+                if opt.startswith("--") and opt != "--help"
+            }
+            assert flags == expected, name
+        assert len(expected) == len(fields(ExperimentConfig)) + 1
+
+    def test_out_overrides_the_config_files_output_dir(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(TINY + f"output_dir = {tmp_path / 'from_file'}\n", encoding="utf-8")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "from_flag")]) == 0
+        assert (tmp_path / "from_flag" / "report.json").exists()
+        assert not (tmp_path / "from_file").exists()
 
     def test_empty_validation_split_is_runtime_error(self, config_file, tmp_path, capsys):
         code = main([
@@ -147,7 +184,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         code = main([
             "sweep", "--config", config_file,
-            "--betas", "0.9,0.95", "--alphas", "0.5", "--sweep_seeds", "2",
+            "--beta_grid", "0.9,0.95", "--alpha_grid", "0.5", "--sweep_seeds", "2",
             "--out", str(out),
         ])
         assert code == 0
@@ -185,7 +222,7 @@ class TestResampleCommand:
         out = tmp_path / "rs"
         code = main([
             "resample", "--config", config_file, "--resampler", "smote_enn",
-            "--seed", "5", "--out", str(out),
+            "--seeds", "5", "--out", str(out),
         ])
         assert code == 0
         labels = np.loadtxt(out / "resampled.csv", delimiter=",", skiprows=1)[:, -1]

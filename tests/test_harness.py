@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -344,11 +345,15 @@ class TestCompare:
         with pytest.raises(ConfigError, match="distinct"):
             compare_optimizers(tiny_config(optimizers=("adam", "adamw")), seeds=(42, 42, 42))
 
+    def test_negative_seed_argument_rejected(self):
+        with pytest.raises(ConfigError, match=">= 0"):
+            compare_optimizers(tiny_config(optimizers=("adam", "adamw")), seeds=(-1, 2))
+
 
 class TestSweep:
     def test_grid_shape_and_cell_schema(self):
         cfg = tiny_config(max_epochs=2, patience=2)
-        report = sensitivity_sweep(cfg, beta_grid=(0.8, 0.95), alpha_grid=(0.3, 0.7), seeds=(1, 2))
+        report = sensitivity_sweep(replace(cfg, beta_grid=(0.8, 0.95), alpha_grid=(0.3, 0.7), seeds=(1, 2)))
         assert len(report.sweep) == 4
         for cell in report.sweep:
             assert set(cell) == {"beta", "alpha", "seeds", "metrics"}
@@ -359,7 +364,7 @@ class TestSweep:
 
     def test_single_cell_matches_direct_runs(self):
         cfg = tiny_config()
-        report = sensitivity_sweep(cfg, beta_grid=(0.9,), alpha_grid=(0.5,), seeds=(1, 2))
+        report = sensitivity_sweep(replace(cfg, beta_grid=(0.9,), alpha_grid=(0.5,), seeds=(1, 2)))
         cell = report.sweep[0]
         direct_cfg = tiny_config(optimizer="dbs_adam", ema_beta=0.9, alpha_mix=0.5)
         direct = [train(direct_cfg, s) for s in (1, 2)]
@@ -368,11 +373,11 @@ class TestSweep:
 
     def test_duplicate_seed_argument_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
-            sensitivity_sweep(tiny_config(), beta_grid=(0.9,), alpha_grid=(0.5,), seeds=(42, 42))
+            sensitivity_sweep(replace(tiny_config(), beta_grid=(0.9,), alpha_grid=(0.5,), seeds=(42, 42)))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
-            sensitivity_sweep(tiny_config(), beta_grid=(), alpha_grid=(0.3,))
+            sensitivity_sweep(replace(tiny_config(), beta_grid=(), alpha_grid=(0.3,)))
 
     def test_invalid_grid_value_rejected_before_any_training(self, monkeypatch):
         import dbsadam.harness as harness
@@ -385,7 +390,7 @@ class TestSweep:
             (tiny_config(beta_grid=(0.9, 1.5)), {}),
         ]:
             with pytest.raises(ConfigError, match="grid"):
-                sensitivity_sweep(cfg, seeds=(1, 2), **grids)
+                sensitivity_sweep(replace(cfg, seeds=(1, 2), **grids))
         assert calls == []
 
 
