@@ -123,6 +123,23 @@ class TestExitCodes:
     def test_unknown_flag_is_config_error(self):
         assert main(["train", "--definitely-not-a-flag", "1"]) == 1
 
+    def test_empty_validation_split_is_runtime_error(self, config_file, tmp_path, capsys):
+        code = main([
+            "train", "--config", config_file, "--synthetic_samples", "60",
+            "--validation_fraction", "0.01", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "validation split has 0 rows" in capsys.readouterr().err
+
+    def test_missing_dataset_file_is_runtime_error(self, tmp_path):
+        schema = tmp_path / "s.txt"
+        schema.write_text("x: feature_numeric\nlabel: label\n", encoding="utf-8")
+        code = main([
+            "train", "--dataset", str(tmp_path / "absent.csv"),
+            "--schema_file", str(schema), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+
 
 class TestFlagSurface:
     def test_one_flag_per_config_key(self):
@@ -146,23 +163,6 @@ class TestFlagSurface:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "from_flag")]) == 0
         assert (tmp_path / "from_flag" / "report.json").exists()
         assert not (tmp_path / "from_file").exists()
-
-    def test_empty_validation_split_is_runtime_error(self, config_file, tmp_path, capsys):
-        code = main([
-            "train", "--config", config_file, "--synthetic_samples", "60",
-            "--validation_fraction", "0.01", "--out", str(tmp_path / "out"),
-        ])
-        assert code == 2
-        assert "validation split has 0 rows" in capsys.readouterr().err
-
-    def test_missing_dataset_file_is_runtime_error(self, tmp_path):
-        schema = tmp_path / "s.txt"
-        schema.write_text("x: feature_numeric\nlabel: label\n", encoding="utf-8")
-        code = main([
-            "train", "--dataset", str(tmp_path / "absent.csv"),
-            "--schema_file", str(schema), "--out", str(tmp_path / "out"),
-        ])
-        assert code == 2
 
 
 class TestCompareCommand:
