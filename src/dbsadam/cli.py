@@ -145,6 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "report":
+            if not args.out:
+                raise ConfigError("--out must be non-empty")
             return _emit(report_from_json(args.input), args.out, [], formats=("csv",))
         config = _config_from_args(args)
         if args.command == "resample":

@@ -9,6 +9,7 @@ one-hot category sets and z-score statistics on the training split only.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -136,7 +137,8 @@ def load_csv_dataset(
     """Read a CSV into a RawTable, dropping rows with missing/invalid values.
 
     A cell is missing when empty (after stripping); a feature_numeric cell is
-    invalid when it does not parse as a float. Label strings map to dense
+    invalid when it does not parse as a finite float (`nan`, `inf` and an
+    overflowing `1e400` are invalid). Label strings map to dense
     integer ids in first-appearance order. Labels listed in drop_labels are
     filtered out (their rows are excluded, not counted as dropped-for-
     missingness).
@@ -172,7 +174,7 @@ def load_csv_dataset(
                     row_bad = True
                 elif c in numeric_cols:
                     try:
-                        float(cell)
+                        row_bad |= not math.isfinite(float(cell))
                     except ValueError:
                         row_bad = True
             if row_bad:

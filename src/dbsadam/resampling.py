@@ -42,25 +42,28 @@ class NeighborIndex:
         dist = np.sqrt(np.sum(diff * diff, axis=1))
         if exclude is not None:
             dist[exclude] = np.inf
-        order = _k_smallest(dist[None, :], k)[0]
+        order = _k_smallest(dist[None, :].copy(), k)[0]
         return order, dist[order]
 
 
 def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
     """Column indices (R, k) of each row's k smallest values, ordered by value
-    with ties to the lower index: np.argsort(d, axis=1, kind="stable")[:, :k].
+    with ties to the lower index: np.argsort(d, axis=1, kind="stable")[:, :k]
+    on finite rows.
 
-    argpartition picks k columns, which are sorted by index and then stably
-    by value. The picks are the only possible answer unless more than k
-    values of the row lie at or below its k-th value; such a row falls back
-    to a stable sort of the whole row.
+    k passes of argmin, which returns the first minimum; each pass overwrites
+    its picks with inf, so d is scratch. A pick that is not finite raises
+    ValueError: argmin picks a NaN first, and a row with fewer than k finite
+    values runs out of finite picks.
     """
-    picks = np.sort(np.argpartition(d, k - 1, axis=1)[:, :k], axis=1)
-    values = np.take_along_axis(d, picks, axis=1)
-    out = np.take_along_axis(picks, np.argsort(values, axis=1, kind="stable"), axis=1)
-    tied = np.count_nonzero(d <= values.max(axis=1)[:, None], axis=1) > k
-    for i in np.flatnonzero(tied):
-        out[i] = np.argsort(d[i], kind="stable")[:k]
+    rows = np.arange(d.shape[0])
+    out = np.empty((d.shape[0], k), dtype=np.int64)
+    for j in range(k):
+        pick = d.argmin(axis=1)
+        if not np.isfinite(d[rows, pick]).all():
+            raise ValueError("non-finite distance in neighbor search: features must be finite")
+        out[:, j] = pick
+        d[rows, pick] = np.inf
     return out
 
 
@@ -73,6 +76,9 @@ def _neighbor_table(features: np.ndarray, k: int, rows: np.ndarray | None = None
         raise ValueError(f"k={k} out of range for {n} rows")
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     sq = np.sum(features * features, axis=1)
+    # -2 y_j as (F, N) C-contiguous columns, the faster GEMM operand; scaling
+    # by -2 is exact, so x_i.(-2 y_j) has the bits of -2 (x_i.y_j)
+    minus_2t = np.multiply(features.T, -2.0, order="C")
     step = max(1, _BLOCK_BYTES // (8 * n))
     d2 = np.empty((min(step, rows.size), n))
     prod = np.empty_like(d2)
@@ -80,11 +86,10 @@ def _neighbor_table(features: np.ndarray, k: int, rows: np.ndarray | None = None
     for start in range(0, rows.size, step):
         block = rows[start:start + step]
         d, p = d2[: block.size], prod[: block.size]
-        # sq_i + sq_j - 2 x_i.x_j, in this order: it fixes the result bits
+        # (sq_i + sq_j) - 2 x_i.x_j, in this order: it fixes the result bits
         np.add(sq[block, None], sq, out=d)
-        np.matmul(features[block], features.T, out=p)
-        p *= 2.0
-        d -= p
+        np.matmul(features[block], minus_2t, out=p)
+        d += p
         np.maximum(d, 0.0, out=d)
         d[np.arange(block.size), block] = np.inf
         out[start:start + block.size] = _k_smallest(d, k)

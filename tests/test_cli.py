@@ -123,6 +123,12 @@ class TestExitCodes:
     def test_unknown_flag_is_config_error(self):
         assert main(["train", "--definitely-not-a-flag", "1"]) == 1
 
+    def test_empty_report_out_is_config_error(self, tmp_path, capsys):
+        # checked before the input is read: an absent input would exit 2
+        code = main(["report", "--input", str(tmp_path / "absent.json"), "--out", ""])
+        assert code == 1
+        assert "--out must be non-empty" in capsys.readouterr().err
+
     def test_empty_validation_split_is_runtime_error(self, config_file, tmp_path, capsys):
         code = main([
             "train", "--config", config_file, "--synthetic_samples", "60",

@@ -85,6 +85,13 @@ class TestLoadCsv:
         table = load_csv_dataset(str(f), SCHEMA)
         assert table.n_samples == 2 and table.dropped_rows == 1
 
+    def test_non_finite_numeric_dropped(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_csv(f, ["a,1,x,y", "b,nan,x,y", "c,inf,x,n", "d,-inf,x,n", "e,1e400,x,y", "f,2,x,n"])
+        table = load_csv_dataset(str(f), SCHEMA)
+        assert table.n_samples == 2 and table.dropped_rows == 4
+        assert [row[0] for row in table.rows] == ["a", "f"]
+
     def test_drop_labels_filter(self, tmp_path):
         f = tmp_path / "d.csv"
         write_csv(f, ["a,1,x,Unknown", "b,2,x,Slight", "c,3,x,Slight", "d,4,x,Fatal"])

@@ -11,6 +11,7 @@ from dbsadam.numerics import SeededRng
 from dbsadam.resampling import (
     NeighborIndex,
     _neighbor_table,
+    adasyn,
     adasyn_generate,
     enn_filter,
     smote_enn,
@@ -140,6 +141,60 @@ class TestNeighborTable:
         for k in (0, -1, 4):
             with pytest.raises(ValueError, match="out of range"):
                 _neighbor_table(features, k)
+
+    @pytest.mark.parametrize("rows_per_block", [0, 4])
+    def test_near_duplicates_clamp_to_zero_with_ties_to_lower_index(self, rows_per_block):
+        # rows x, x + 1e-9, x for values x where the expanded squared distance
+        # of the first two rounds below 0; one column keeps every product a
+        # single rounding, so the reference below has the table's bits
+        xs = SeededRng(5).normal(size=200) * 10.0
+        expanded = (xs * xs + (xs + 1e-9) ** 2) - 2.0 * (xs * (xs + 1e-9))
+        picked = xs[expanded < 0][:3]
+        assert picked.size == 3
+        features = np.stack([picked, picked + 1e-9, picked], axis=1).reshape(-1, 1)
+        sq = np.sum(features * features, axis=1)
+        raw = (sq[:, None] + sq[None, :]) - 2.0 * (features @ features.T)
+        assert (raw < 0).sum() >= 6
+        d2 = np.maximum(raw, 0.0)
+        np.fill_diagonal(d2, np.inf)
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :2]
+        with mock.patch.object(resampling, "_BLOCK_BYTES", rows_per_block * 8 * features.shape[0]):
+            got = _neighbor_table(features, 2)
+        assert got.tolist() == expected.tolist()
+        for t in range(3):
+            base = 3 * t
+            assert got[base + 1].tolist() == [base, base + 2]
+            assert got[base + 2].tolist() == [base, base + 1]
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e200])
+class TestNonFiniteSearchRejected:
+    # row 43 is a minority sample; a 1e200 feature overflows its squared norm
+    def data(self, value):
+        data = blobs(40, 4, seed=1)
+        data.features[43, 1] = value
+        return data
+
+    def test_neighbor_table(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            _neighbor_table(self.data(value).features, 3)
+
+    def test_enn_filter(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            enn_filter(self.data(value), 3)
+
+    def test_smote_enn(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            smote_enn(self.data(value), rng=SeededRng(0))
+
+    def test_adasyn(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            adasyn(self.data(value), 3, SeededRng(0))
+
+    def test_neighbor_index_query(self, value):
+        data = self.data(value)
+        with pytest.raises(ValueError, match="non-finite"):
+            NeighborIndex(data.features).query(data.features[43], 3, exclude=43)
 
 
 class TestSmote:
