@@ -37,7 +37,7 @@ net = SequenceNetwork(
 )
 xs = rng.normal(size=(2, 4, 3))  # batch 2, seq len 4
 labels = one_hot(np.array([0, 2]), 3)
-loss_config = LossConfig(kind="focal", gamma=2.0, alpha=0.25)
+loss_config = LossConfig(weight=0.25, gamma=2.0)  # focal loss, alpha = 0.25
 
 params = net.params(xs.shape[1])
 flat = np.concatenate([p.ravel() for p in params.values()])

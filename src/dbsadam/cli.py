@@ -9,6 +9,7 @@ validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import fields
@@ -26,7 +27,6 @@ from .harness import (
     emit_report,
     load_config,
     prepare_training,
-    report_from_json,
     sensitivity_sweep,
     train,
 )
@@ -108,7 +108,7 @@ def _sweep_report(config: ExperimentConfig) -> tuple[ComparisonReport, list[str]
 _REPORTS = {"train": _train_report, "compare": _compare_report, "sweep": _sweep_report}
 
 
-def _emit(report: ComparisonReport, out_dir: str, lines: list[str],
+def _emit(report: ComparisonReport | dict, out_dir: str, lines: list[str],
           formats: tuple[str, ...] = ("json", "csv")) -> int:
     """Write the report's files, then print the summary lines and the paths."""
     paths = emit_report(report, out_dir, formats)
@@ -147,7 +147,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             if not args.out:
                 raise ConfigError("--out must be non-empty")
-            return _emit(report_from_json(args.input), args.out, [], formats=("csv",))
+            with open(args.input, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            return _emit(payload, args.out, [], formats=("csv",))
         config = _config_from_args(args)
         if args.command == "resample":
             return _cmd_resample(config)

@@ -31,9 +31,9 @@ from .data import (
     to_sequences,
 )
 from .evaluation import (
+    _HEADLINE_FIELDS,
     METRIC_KEYS,
     MetricsReport,
-    SignificanceResult,
     aggregate_runs,
     confusion_matrix,
     metrics_from_confusion,
@@ -41,7 +41,6 @@ from .evaluation import (
     split_indices,
 )
 from .losses import (
-    LOSS_KINDS,
     LossConfig,
     default_class_weights,
     loss_gradient,
@@ -61,6 +60,7 @@ from .optimizers import (
 )
 
 RESAMPLERS = ("none", "smote_enn", "adasyn")
+LOSS_KINDS = ("cross_entropy", "weighted_cross_entropy", "focal")
 
 # substream keys off the run seed
 _STREAM_SPLIT = 0
@@ -191,10 +191,12 @@ class ExperimentConfig:
                     f"synthetic_features={self.synthetic_features} is fewer than the "
                     f"{len(self.synthetic_priors)} classes in synthetic_priors"
                 )
+        if not 0.0 < self.focal_alpha < math.inf:
+            raise ConfigError(f"focal_alpha must be strictly positive and finite, got {self.focal_alpha}")
         try:
             _from_shared_fields(OptimizerConfig, self)
             tracker = _from_shared_fields(DifficultyTracker, self)
-            LossConfig(kind="focal", gamma=self.gamma, alpha=self.focal_alpha)
+            LossConfig(weight=self.focal_alpha, gamma=self.gamma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # every sweep cell runs a tracker with one grid value swapped in
@@ -349,12 +351,14 @@ def prepare_training(
 
 
 def _make_loss_config(config: ExperimentConfig, train_labels: np.ndarray, n_classes: int) -> LossConfig:
+    """The (weight, gamma) of config.loss; weighted cross-entropy weighs each
+    class by the inverse of its frequency in the training labels."""
     if config.loss == "weighted_cross_entropy":
         counts = np.bincount(train_labels, minlength=n_classes)
-        return LossConfig(kind=config.loss, class_weights=default_class_weights(counts))
+        return LossConfig(weight=default_class_weights(counts))
     if config.loss == "focal":
-        return LossConfig(kind=config.loss, gamma=config.gamma, alpha=config.focal_alpha)
-    return LossConfig(kind=config.loss)
+        return LossConfig(weight=config.focal_alpha, gamma=config.gamma)
+    return LossConfig()
 
 
 def _evaluate(net, xs, labels_1h, loss_config, batch_size) -> tuple[float, np.ndarray, np.ndarray]:
@@ -593,19 +597,28 @@ def _atomic_open(path: str, newline: str | None = None):
         raise
 
 
-def emit_report(report: ComparisonReport, out_dir: str, formats: tuple[str, ...] = ("json", "csv")) -> list[str]:
+def _csv_number(value: float | None) -> str:
+    # report.json holds a non-finite float as null; its CSV cell is empty
+    return "" if value is None else f"{value:.10g}"
+
+
+def emit_report(report: ComparisonReport | dict, out_dir: str,
+                formats: tuple[str, ...] = ("json", "csv")) -> list[str]:
     """Write report.json and/or the flat CSV views; returns the paths written.
 
-    Output is deterministic for a given report: keys are sorted in the JSON
-    and rows follow the report's run order. Each file is replaced atomically.
+    report is a ComparisonReport or the payload of a report.json written
+    here; every file renders from that JSON payload. Output is deterministic
+    for a given report: keys are sorted in the JSON and rows follow the
+    report's run order. Each file is replaced atomically.
     """
+    payload = report if isinstance(report, dict) else _jsonable(report)
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     try:
         if "json" in formats:
             path = os.path.join(out_dir, "report.json")
             with _atomic_open(path) as fh:
-                json.dump(_jsonable(report), fh, sort_keys=True, indent=2)
+                json.dump(payload, fh, sort_keys=True, indent=2)
                 fh.write("\n")
             written.append(path)
         if "csv" in formats:
@@ -613,54 +626,23 @@ def emit_report(report: ComparisonReport, out_dir: str, formats: tuple[str, ...]
             with _atomic_open(path, newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(RUNS_CSV_COLUMNS)
-                for run in report.runs:
-                    scalars = run.metrics.scalar_metrics()
-                    lr = run.lr_summary or ("", "", "")
+                for run in payload["runs"]:
                     writer.writerow([
-                        run.optimizer, run.seed, run.tag,
-                        *(f"{scalars[key]:.10g}" for key in METRIC_KEYS),
-                        run.best_epoch, run.epochs_run,
-                        *(f"{v:.10g}" if v != "" else "" for v in lr),
-                        f"{run.wall_clock:.6f}",
+                        run["optimizer"], run["seed"], run["tag"],
+                        *(_csv_number(run["metrics"][name]) for name in _HEADLINE_FIELDS.values()),
+                        run["best_epoch"], run["epochs_run"],
+                        *map(_csv_number, run["lr_summary"] or (None, None, None)),
+                        f"{run['wall_clock']:.6f}",
                     ])
             written.append(path)
             trace_path = os.path.join(out_dir, "lr_trace.csv")
             with _atomic_open(trace_path, newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(("optimizer", "seed", "batch", "learning_rate"))
-                for run in report.runs:
-                    if run.lr_trace is None:
-                        continue
-                    for batch_no, lr in enumerate(run.lr_trace):
-                        writer.writerow((run.optimizer, run.seed, batch_no, f"{lr:.10g}"))
+                for run in payload["runs"]:
+                    for batch_no, lr in enumerate(run["lr_trace"] or ()):
+                        writer.writerow((run["optimizer"], run["seed"], batch_no, _csv_number(lr)))
             written.append(trace_path)
     except OSError as exc:
         raise RuntimeError(f"cannot write report to {out_dir}: {exc}") from exc
     return written
-
-
-def report_from_json(path: str) -> ComparisonReport:
-    """Rehydrate a ComparisonReport written by emit_report."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    runs = []
-    for r in payload.get("runs", []):
-        metrics = MetricsReport(**r.pop("metrics"))
-        summary = r.pop("lr_summary")
-        runs.append(RunResult(metrics=metrics,
-                              lr_summary=tuple(summary) if summary else None, **r))
-    significance = []
-    for entry in payload.get("significance", []):
-        entry = dict(entry)
-        entry["result"] = SignificanceResult(**entry["result"])
-        significance.append(entry)
-    aggregates = {
-        name: {metric: (pair[0], pair[1]) for metric, pair in metrics.items()}
-        for name, metrics in payload.get("aggregates", {}).items()
-    }
-    return ComparisonReport(
-        runs=runs,
-        aggregates=aggregates,
-        significance=significance,
-        sweep=payload.get("sweep", []),
-    )

@@ -1,13 +1,13 @@
 """Softmax head and classification losses with analytic logit gradients.
 
-Every loss kind is one instance of the focal form of Lin et al. 2017
-(arXiv:1708.02002) over one-hot labels, -w_t (1 - p_t)^gamma log p_t, where
-p_t is the predicted probability of the true class, floored at PROB_FLOOR
-before the log. Cross-entropy is w_t = 1, gamma = 0; class-weighted
-cross-entropy is w_t = class_weights[y], gamma = 0; focal loss is
-w_t = alpha (a scalar or a per-class vector) with its own gamma. Every loss
-reduces over the batch by the mean, and every analytic gradient is checked
-against central differences in the test suite.
+One loss, the focal form of Lin et al. 2017 (arXiv:1708.02002) over one-hot
+labels, -w_t (1 - p_t)^gamma log p_t, where p_t is the predicted probability
+of the true class, floored at PROB_FLOOR before the log, and w_t is the
+weight of the true class. LossConfig() (w_t = 1, gamma = 0) is
+cross-entropy, LossConfig(weight=class_weights) is class-weighted
+cross-entropy and LossConfig(weight=alpha, gamma=gamma) is focal loss. The
+loss reduces over the batch by the mean, and the analytic gradient is
+checked against central differences in the test suite.
 """
 
 from __future__ import annotations
@@ -21,35 +21,26 @@ import numpy as np
 # prediction yields a large but finite loss.
 PROB_FLOOR = 1e-12
 
-LOSS_KINDS = ("cross_entropy", "weighted_cross_entropy", "focal")
-
 
 @dataclass
 class LossConfig:
-    """Selects and parameterizes a loss.
+    """The two parameters of the focal form.
 
-    class_weights applies to weighted_cross_entropy; gamma/alpha to focal.
-    alpha may be a scalar applied uniformly or a per-class vector. Weights
-    must be strictly positive and finite.
+    weight is a scalar applied to every class or one value per class, and
+    must be strictly positive and finite; gamma must be finite and >= 0.
     """
 
-    kind: str = "cross_entropy"
-    class_weights: np.ndarray | None = None
-    gamma: float = 2.0
-    alpha: float | np.ndarray = 0.25
+    weight: float | np.ndarray = 1.0
+    gamma: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
+        w = np.asarray(self.weight, dtype=np.float64)
+        if w.ndim > 1 or not np.all((w > 0) & np.isfinite(w)):
+            raise ValueError(f"weight must be a strictly positive and finite scalar or vector, "
+                             f"got {self.weight}")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma}")
-        if self.kind == "weighted_cross_entropy" and self.class_weights is None:
-            raise ValueError("weighted_cross_entropy requires class_weights")
-        if self.class_weights is not None:
-            self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
-        for name, w in (("class weights", self.class_weights), ("alpha", self.alpha)):
-            if w is not None and not np.all((np.asarray(w) > 0) & np.isfinite(w)):
-                raise ValueError(f"{name} must be strictly positive and finite, got {w}")
+        self.weight = float(w) if w.ndim == 0 else w
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -81,33 +72,27 @@ def default_class_weights(class_counts: np.ndarray) -> np.ndarray:
 
 def _focal_terms(config: LossConfig, scores: np.ndarray, labels: np.ndarray):
     """Batch the probabilities or logits and one-hot labels, check their
-    shapes, and resolve each sample's true-class weight w_t and gamma."""
+    shapes, and resolve each sample's true-class weight w_t."""
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
     if scores.shape != labels.shape:
         raise ValueError(f"scores shape {scores.shape} != labels shape {labels.shape}")
     if scores.shape[1] == 0:
         raise ValueError(f"empty batch: scores of shape {scores.shape} have no classes")
-    if config.kind == "cross_entropy":
-        w, gamma = 1.0, 0.0
-    elif config.kind == "weighted_cross_entropy":
-        w, gamma = config.class_weights, 0.0
-    else:
-        w, gamma = config.alpha, config.gamma
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim == 0:
-        return scores, labels, np.full(labels.shape[0], float(w)), gamma
+    w = config.weight
+    if isinstance(w, float):  # __post_init__ stores a scalar weight as a float
+        return scores, labels, np.full(labels.shape[0], w)
     if w.shape != (labels.shape[1],):
         raise ValueError(f"weight vector length {w.shape} does not match {labels.shape[1]} classes")
-    return scores, labels, labels @ w, gamma
+    return scores, labels, labels @ w
 
 
 def loss_per_sample(config: LossConfig, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample loss values -w_t (1 - p_t)^gamma log p_t under the
     configured loss; labels must be one-hot."""
-    probs, labels, w_t, gamma = _focal_terms(config, probs, labels)
+    probs, labels, w_t = _focal_terms(config, probs, labels)
     p_t = np.sum(probs * labels, axis=1)
-    return -w_t * (1.0 - p_t) ** gamma * np.log(np.maximum(p_t, PROB_FLOOR))
+    return -w_t * (1.0 - p_t) ** config.gamma * np.log(np.maximum(p_t, PROB_FLOOR))
 
 
 def loss_value(config: LossConfig, probs: np.ndarray, labels: np.ndarray) -> float:
@@ -124,7 +109,8 @@ def loss_gradient(config: LossConfig, logits: np.ndarray, labels: np.ndarray) ->
     At gamma = 0 each row is w_t (softmax(z) - y) / N. For gamma > 0 the
     row is the focal chain rule dl/dp_t * p_t * (y - softmax(z)) / N.
     """
-    logits, labels, w_t, gamma = _focal_terms(config, logits, labels)
+    logits, labels, w_t = _focal_terms(config, logits, labels)
+    gamma = config.gamma
     n = logits.shape[0]
     probs = softmax(logits)
     if gamma == 0.0:

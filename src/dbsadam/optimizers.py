@@ -36,7 +36,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1): {self.beta1}, {self.beta2}")
+            raise ValueError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
         # written so that NaN fails every check
         for name in ("base_lr", "epsilon", "adabound_final_lr", "adabound_gamma"):
             if not 0.0 < getattr(self, name) < math.inf:

@@ -38,8 +38,9 @@ class NeighborIndex:
         available = self.features.shape[0] - (1 if exclude is not None else 0)
         if k < 1 or k > available:
             raise ValueError(f"k={k} out of range for {available} candidate rows")
-        diff = self.features - np.asarray(point, dtype=np.float64)
-        dist = np.sqrt(np.sum(diff * diff, axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):  # _k_smallest rejects the result
+            diff = self.features - np.asarray(point, dtype=np.float64)
+            dist = np.sqrt(np.sum(diff * diff, axis=1))
         if exclude is not None:
             dist[exclude] = np.inf
         order = _k_smallest(dist[None, :].copy(), k)[0]
@@ -54,14 +55,17 @@ def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
     k passes of argmin, which returns the first minimum; each pass overwrites
     its picks with inf, so d is scratch. A pick that is not finite raises
     ValueError: argmin picks a NaN first, and a row with fewer than k finite
-    values runs out of finite picks.
+    values runs out of finite picks. The distance computations before it run
+    with NumPy's overflow and invalid-value warnings off, so this error is
+    what a non-finite or overflowing feature reports.
     """
     rows = np.arange(d.shape[0])
     out = np.empty((d.shape[0], k), dtype=np.int64)
     for j in range(k):
         pick = d.argmin(axis=1)
         if not np.isfinite(d[rows, pick]).all():
-            raise ValueError("non-finite distance in neighbor search: features must be finite")
+            raise ValueError("non-finite distance in neighbor search: features must be finite "
+                             "and small enough that their squares do not overflow")
         out[:, j] = pick
         d[rows, pick] = np.inf
     return out
@@ -75,24 +79,25 @@ def _neighbor_table(features: np.ndarray, k: int, rows: np.ndarray | None = None
     if k < 1 or k > n - 1:
         raise ValueError(f"k={k} out of range for {n} rows")
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    sq = np.sum(features * features, axis=1)
-    # -2 y_j as (F, N) C-contiguous columns, the faster GEMM operand; scaling
-    # by -2 is exact, so x_i.(-2 y_j) has the bits of -2 (x_i.y_j)
-    minus_2t = np.multiply(features.T, -2.0, order="C")
     step = max(1, _BLOCK_BYTES // (8 * n))
     d2 = np.empty((min(step, rows.size), n))
     prod = np.empty_like(d2)
     out = np.empty((rows.size, k), dtype=np.int64)
-    for start in range(0, rows.size, step):
-        block = rows[start:start + step]
-        d, p = d2[: block.size], prod[: block.size]
-        # (sq_i + sq_j) - 2 x_i.x_j, in this order: it fixes the result bits
-        np.add(sq[block, None], sq, out=d)
-        np.matmul(features[block], minus_2t, out=p)
-        d += p
-        np.maximum(d, 0.0, out=d)
-        d[np.arange(block.size), block] = np.inf
-        out[start:start + block.size] = _k_smallest(d, k)
+    with np.errstate(over="ignore", invalid="ignore"):  # _k_smallest rejects the result
+        sq = np.sum(features * features, axis=1)
+        # -2 y_j as (F, N) C-contiguous columns, the faster GEMM operand;
+        # scaling by -2 is exact, so x_i.(-2 y_j) has the bits of -2 (x_i.y_j)
+        minus_2t = np.multiply(features.T, -2.0, order="C")
+        for start in range(0, rows.size, step):
+            block = rows[start:start + step]
+            d, p = d2[: block.size], prod[: block.size]
+            # (sq_i + sq_j) - 2 x_i.x_j, in this order: it fixes the result bits
+            np.add(sq[block, None], sq, out=d)
+            np.matmul(features[block], minus_2t, out=p)
+            d += p
+            np.maximum(d, 0.0, out=d)
+            d[np.arange(block.size), block] = np.inf
+            out[start:start + block.size] = _k_smallest(d, k)
     return out
 
 

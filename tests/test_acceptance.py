@@ -168,8 +168,8 @@ def test_criterion_4_gradient_fidelity():
         started = time.perf_counter()
         worst = 0.0
         configs = [
-            LossConfig(kind="focal", gamma=2.0, alpha=0.25),
-            LossConfig(kind="weighted_cross_entropy", class_weights=np.array([0.5, 1.5, 2.0])),
+            LossConfig(weight=0.25, gamma=2.0),
+            LossConfig(weight=np.array([0.5, 1.5, 2.0])),
         ]
         for seed in range(10):
             for loss_config in configs:

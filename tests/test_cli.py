@@ -117,8 +117,9 @@ class TestExitCodes:
         ("seeds", "1,-2"),
         ("data_seed", "-1"),
     ])
-    def test_non_finite_or_out_of_range_value_is_config_error(self, config_file, key, value):
+    def test_non_finite_or_out_of_range_value_is_config_error(self, config_file, key, value, capsys):
         assert main(["train", "--config", config_file, f"--{key}", value]) == 1
+        assert key in capsys.readouterr().err
 
     def test_unknown_flag_is_config_error(self):
         assert main(["train", "--definitely-not-a-flag", "1"]) == 1
@@ -253,4 +254,5 @@ class TestReportCommand:
         regen = tmp_path / "regen"
         code = main(["report", "--input", str(out / "report.json"), "--out", str(regen)])
         assert code == 0
-        assert (regen / "runs.csv").read_bytes() == (out / "runs.csv").read_bytes()
+        for name in ("runs.csv", "lr_trace.csv"):
+            assert (regen / name).read_bytes() == (out / name).read_bytes()

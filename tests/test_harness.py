@@ -13,15 +13,17 @@ from dbsadam.harness import (
     ConfigError,
     ExperimentConfig,
     _from_shared_fields,
+    _jsonable,
+    _make_loss_config,
     compare_optimizers,
     emit_report,
     load_config,
     prepare_split,
     prepare_training,
-    report_from_json,
     sensitivity_sweep,
     train,
 )
+from dbsadam.losses import default_class_weights
 from dbsadam.optimizers import DifficultyTracker, OptimizerConfig
 
 
@@ -104,8 +106,10 @@ class TestConfigValidation:
         ],
     )
     def test_invalid_rejected(self, overrides):
+        # the message names the offending key, so a bad focal_alpha says
+        # focal_alpha and not the loss's internal weight
         config = ExperimentConfig(**overrides)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(next(iter(overrides)))):
             config.validate()
 
 
@@ -226,6 +230,32 @@ class TestTrain:
         assert run_dbs.metrics.accuracy == run_adam.metrics.accuracy
         assert run_dbs.train_losses == run_adam.train_losses
         assert run_dbs.val_losses == run_adam.val_losses
+
+    def test_loss_names_map_to_weight_and_gamma(self, monkeypatch):
+        import dbsadam.harness as harness
+
+        # ADASYN moves the class counts, so the weights must come from the
+        # resampled training labels that train() fits
+        cfg = tiny_config(resampler="adasyn", gamma=1.5, focal_alpha=0.4, max_epochs=1, patience=0)
+        fit_ds, resampled, _, _ = prepare_training(cfg, 1)
+        counts = np.bincount(resampled.labels, minlength=resampled.n_classes)
+        assert not np.array_equal(counts, np.bincount(fit_ds.labels, minlength=fit_ds.n_classes))
+        expected = {
+            "cross_entropy": (1.0, 0.0),
+            "weighted_cross_entropy": (default_class_weights(counts), 0.0),
+            "focal": (0.4, 1.5),
+        }
+        made = []
+
+        def spy(*args):
+            made.append(_make_loss_config(*args))
+            return made[-1]
+
+        monkeypatch.setattr(harness, "_make_loss_config", spy)
+        for loss, (weight, gamma) in expected.items():
+            train(replace(cfg, loss=loss), 1)
+            assert np.array_equal(made[-1].weight, weight), loss
+            assert made[-1].gamma == gamma, loss
 
     def test_weighted_loss_path(self):
         run = train(tiny_config(loss="weighted_cross_entropy"), 1)
@@ -426,12 +456,22 @@ class TestEmitReport:
         assert len(lines) == len(report.runs) + 1
 
     def test_round_trip_through_json(self, tmp_path):
+        # emitting the loaded report.json reproduces every file byte for byte
         cfg = tiny_config(optimizers=("adam", "dbs_adam"))
         report = compare_optimizers(cfg, seeds=(1, 2))
         emit_report(report, str(tmp_path))
-        restored = report_from_json(str(tmp_path / "report.json"))
-        assert len(restored.runs) == len(report.runs)
-        assert restored.runs[0].metrics.accuracy == report.runs[0].metrics.accuracy
-        assert restored.aggregates.keys() == report.aggregates.keys()
-        emit_report(restored, str(tmp_path / "again"), formats=("csv",))
-        assert (tmp_path / "runs.csv").read_bytes() == (tmp_path / "again" / "runs.csv").read_bytes()
+        payload = json.loads((tmp_path / "report.json").read_text())
+        emit_report(payload, str(tmp_path / "again"))
+        for name in ("report.json", "runs.csv", "lr_trace.csv"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+
+    def test_null_number_is_an_empty_csv_cell(self, tmp_path):
+        # report.json holds a non-finite float as null
+        report = compare_optimizers(tiny_config(optimizers=("adam", "adamw")), seeds=(1, 2))
+        payload = json.loads(json.dumps(_jsonable(report)))
+        payload["runs"][0]["metrics"]["mean_loss"] = None
+        emit_report(payload, str(tmp_path), formats=("csv",))
+        rows = (tmp_path / "runs.csv").read_text().splitlines()
+        header, first = rows[0].split(","), rows[1].split(",")
+        assert first[header.index("loss")] == ""
+        assert first[header.index("lr_mean")] == ""

@@ -220,9 +220,9 @@ class TestNetworkBackward:
     def test_gradients_match_finite_differences(self):
         labels = one_hot(np.array([0, 2]), 3)
         for seed, config in [
-            (1, LossConfig(kind="cross_entropy")),
-            (2, LossConfig(kind="focal", gamma=2.0, alpha=0.25)),
-            (3, LossConfig(kind="weighted_cross_entropy", class_weights=np.array([0.5, 1.5, 2.0]))),
+            (1, LossConfig()),
+            (2, LossConfig(weight=0.25, gamma=2.0)),
+            (3, LossConfig(weight=np.array([0.5, 1.5, 2.0]))),
         ]:
             net = tiny_network(seed)
             xs = SeededRng(seed + 50).normal(size=(2, 4, 3))
@@ -234,7 +234,7 @@ class TestNetworkBackward:
         net = tiny_network(4, dropout=0.4)
         xs = SeededRng(60).normal(size=(2, 3, 3))
         labels = one_hot(np.array([1, 0]), 3)
-        err = gradient_check(net, xs, labels, LossConfig(kind="cross_entropy"),
+        err = gradient_check(net, xs, labels, LossConfig(),
                              mode="train", mask_seed=13)
         assert err < 1e-5
 
@@ -250,7 +250,7 @@ class TestNetworkBackward:
         net = tiny_network(7)
         x = SeededRng(63).normal(size=(1, 4, 3))
         xs = np.concatenate([x, x], axis=0)
-        config = LossConfig(kind="cross_entropy")
+        config = LossConfig()
         logits1, cache1 = network_forward(net, x)
         g1 = network_backward(net, cache1, loss_gradient(config, logits1, one_hot(np.array([1]), 3)))
         logits2, cache2 = network_forward(net, xs)
@@ -263,8 +263,8 @@ class TestNetworkBackward:
         # the paper trains on single-step rows; T = 2 is the desk benchmark
         labels = one_hot(np.array([0, 2, 1]), 3)
         for seed, config in [
-            (21, LossConfig(kind="cross_entropy")),
-            (22, LossConfig(kind="focal", gamma=2.0, alpha=0.25)),
+            (21, LossConfig()),
+            (22, LossConfig(weight=0.25, gamma=2.0)),
         ]:
             net = tiny_network(seed)
             xs = SeededRng(seed + 50).normal(size=(3, steps, 3))
@@ -323,7 +323,7 @@ class TestNetworkBackward:
         # bit-equal, in both modes: all four directions at T = 1, and l2b,
         # which runs one step at any T, at T = 2 and T = 3
         labels = one_hot(np.array([0, 2, 1, 1]), 3)
-        config = LossConfig(kind="focal", gamma=2.0, alpha=0.25)
+        config = LossConfig(weight=0.25, gamma=2.0)
         for steps, prefixes in ((1, ("l1f", "l1b", "l2f", "l2b")), (2, ("l2b",)), (3, ("l2b",))):
             xs = SeededRng(79).normal(size=(4, steps, 3))
             clean, poisoned = tiny_network(28, dropout=0.3), tiny_network(28, dropout=0.3)
@@ -379,7 +379,7 @@ class TestNetworkBackward:
         net = tiny_network(seed, input_size=inputs, hidden1=hidden, hidden2=hidden)
         xs = SeededRng(seed + 1).normal(size=(batch, steps, inputs))
         labels = one_hot(SeededRng(seed + 2).integers(0, 3, size=batch), 3)
-        assert gradient_check(net, xs, labels, LossConfig(kind="cross_entropy")) < 1e-5
+        assert gradient_check(net, xs, labels, LossConfig()) < 1e-5
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -168,8 +168,10 @@ class TestNeighborTable:
 
 
 @pytest.mark.parametrize("value", [np.nan, 1e200])
+@pytest.mark.filterwarnings("error")
 class TestNonFiniteSearchRejected:
-    # row 43 is a minority sample; a 1e200 feature overflows its squared norm
+    # row 43 is a minority sample; a 1e200 feature overflows its squared norm.
+    # Every warning is an error here: the ValueError is the only report.
     def data(self, value):
         data = blobs(40, 4, seed=1)
         data.features[43, 1] = value
