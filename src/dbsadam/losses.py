@@ -22,12 +22,13 @@ import numpy as np
 PROB_FLOOR = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     """The two parameters of the focal form.
 
     weight is a scalar applied to every class or one value per class, and
     must be strictly positive and finite; gamma must be finite and >= 0.
+    Frozen, so no assignment can skip these checks.
     """
 
     weight: float | np.ndarray = 1.0
@@ -40,7 +41,7 @@ class LossConfig:
                              f"got {self.weight}")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma}")
-        self.weight = float(w) if w.ndim == 0 else w
+        object.__setattr__(self, "weight", float(w) if w.ndim == 0 else w)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

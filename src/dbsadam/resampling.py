@@ -79,15 +79,15 @@ def _neighbor_table(features: np.ndarray, k: int, rows: np.ndarray | None = None
     if k < 1 or k > n - 1:
         raise ValueError(f"k={k} out of range for {n} rows")
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    d2 = np.empty((min(step, rows.size), n))
-    prod = np.empty_like(d2)
-    out = np.empty((rows.size, k), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # _k_smallest rejects the result
         sq = np.sum(features * features, axis=1)
         # -2 y_j as (F, N) C-contiguous columns, the faster GEMM operand;
         # scaling by -2 is exact, so x_i.(-2 y_j) has the bits of -2 (x_i.y_j)
         minus_2t = np.multiply(features.T, -2.0, order="C")
+        step = max(1, _BLOCK_BYTES // (8 * n))
+        d2 = np.empty((min(step, rows.size), n))
+        prod = np.empty_like(d2)
+        out = np.empty((rows.size, k), dtype=np.int64)
         for start in range(0, rows.size, step):
             block = rows[start:start + step]
             d, p = d2[: block.size], prod[: block.size]

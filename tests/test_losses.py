@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -100,6 +101,19 @@ class TestSoftmax:
         p = softmax(rng.normal(size=(8, 5)) * 30)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
         assert np.all((p >= 0) & (p <= 1))
+
+
+class TestLossConfig:
+    def test_holds_only_weight_and_gamma(self):
+        assert [f.name for f in dataclasses.fields(LossConfig)] == ["weight", "gamma"]
+        assert (LossConfig().weight, LossConfig().gamma) == (1.0, 0.0)
+
+    def test_assignment_cannot_skip_the_checks(self):
+        config = LossConfig(weight=0.25, gamma=2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.gamma = -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.weight = 2
 
 
 class TestWeightedCrossEntropy:
