@@ -233,6 +233,10 @@ class TestPairedTTest:
             assert ours.t_statistic == pytest.approx(float(t_ref), rel=1e-9)
             assert ours.p_value == pytest.approx(float(p_ref), abs=1e-8)
 
+    # scipy warns that its own variance lost precision when the differences
+    # are (nearly) identical; that notice is about the reference, not the
+    # code under test, whose RuntimeWarnings still fail the test
+    @pytest.mark.filterwarnings("ignore:Precision loss occurred in moment calculation:RuntimeWarning")
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
                           min_size=2, max_size=30))
