@@ -468,7 +468,7 @@ class TestEmitReport:
     def test_null_number_is_an_empty_csv_cell(self, tmp_path):
         # report.json holds a non-finite float as null
         report = compare_optimizers(tiny_config(optimizers=("adam", "adamw")), seeds=(1, 2))
-        payload = json.loads(json.dumps(_jsonable(report)))
+        payload = _jsonable(report)
         payload["runs"][0]["metrics"]["mean_loss"] = None
         emit_report(payload, str(tmp_path), formats=("csv",))
         rows = (tmp_path / "runs.csv").read_text().splitlines()
