@@ -2,8 +2,10 @@
 
 CSV loading is schema-driven: a schema maps each column to one of the roles
 feature_categorical, feature_numeric, label, or ignore. Rows with missing or
-unparseable values in used columns are dropped and counted. Encoding fits
-one-hot category sets and z-score statistics on the training split only.
+unparseable values in used columns are dropped and counted, and the rows
+kept are stored column by column: numeric cells parsed once into float
+arrays, categorical cells as str arrays. Encoding fits one-hot category sets
+and z-score statistics on the training split only.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,6 +81,8 @@ class FeatureSchema:
         labels = [c for c, r in self.roles.items() if r == "label"]
         if len(labels) != 1:
             raise ValueError(f"schema must declare exactly one label column, found {labels}")
+        if not self.feature_columns:
+            raise ValueError("schema declares no feature_categorical or feature_numeric column")
 
     @property
     def label_column(self) -> str:
@@ -100,16 +104,29 @@ class FeatureSchema:
                 if ":" not in line:
                     raise ValueError(f"{path}:{lineno}: expected 'column: role'")
                 col, role = (part.strip() for part in line.split(":", 1))
+                if col in roles:
+                    raise ValueError(f"{path}:{lineno}: column {col!r} is listed twice")
                 roles[col] = role
         return cls(roles)
 
 
+def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in order of first appearance, and the position of
+    each value among them."""
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return distinct[order], np.argsort(order)[inverse]
+
+
 @dataclass
 class RawTable:
-    """String-valued feature rows straight from a CSV, pre-encoding."""
+    """Cleaned CSV columns before encoding.
 
-    columns: list[str]
-    rows: list[list[str]]
+    columns maps each feature column, in schema order, to one array over the
+    kept rows: float64 for feature_numeric, str for feature_categorical.
+    """
+
+    columns: dict[str, np.ndarray]
     labels: np.ndarray
     class_names: list[str]
     raw_row_count: int
@@ -117,18 +134,12 @@ class RawTable:
 
     @property
     def n_samples(self) -> int:
-        return len(self.rows)
+        return self.labels.size
 
     def subset(self, indices: np.ndarray) -> "RawTable":
         idx = np.asarray(indices, dtype=np.int64)
-        return RawTable(
-            columns=list(self.columns),
-            rows=[self.rows[i] for i in idx],
-            labels=self.labels[idx],
-            class_names=list(self.class_names),
-            raw_row_count=self.raw_row_count,
-            dropped_rows=self.dropped_rows,
-        )
+        return replace(self, columns={c: v[idx] for c, v in self.columns.items()},
+                       labels=self.labels[idx], class_names=list(self.class_names))
 
 
 def load_csv_dataset(
@@ -136,70 +147,49 @@ def load_csv_dataset(
 ) -> RawTable:
     """Read a CSV into a RawTable, dropping rows with missing/invalid values.
 
-    A cell is missing when empty (after stripping); a feature_numeric cell is
-    invalid when it does not parse as a finite float (`nan`, `inf` and an
-    overflowing `1e400` are invalid). Label strings map to dense
-    integer ids in first-appearance order. Labels listed in drop_labels are
-    filtered out (their rows are excluded, not counted as dropped-for-
-    missingness).
+    Header names and cells are stripped of surrounding whitespace. A cell is
+    missing when empty; a feature_numeric cell is invalid when it does not
+    parse as a finite float (`nan`, `inf` and an overflowing `1e400` are
+    invalid). Label strings map to dense integer ids in first-appearance
+    order. Labels listed in drop_labels are filtered out (their rows are
+    excluded, not counted as dropped-for-missingness).
     """
+    feature_cols = schema.feature_columns
+    numeric_cols = [c for c in feature_cols if schema.roles[c] == "feature_numeric"]
+    label_col = schema.label_column
+    kept: dict[str, list] = {c: [] for c in (*feature_cols, label_col)}
+    raw_count = invalid = 0
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        header = [name.strip() for name in reader.fieldnames]
-        missing_cols = [c for c in (*schema.feature_columns, schema.label_column) if c not in header]
+        reader.fieldnames = [name.strip() for name in reader.fieldnames]
+        missing_cols = [c for c in kept if c not in reader.fieldnames]
         if missing_cols:
             raise ValueError(f"{path}: schema columns absent from header: {missing_cols}")
 
-        feature_cols = schema.feature_columns
-        numeric_cols = {c for c in feature_cols if schema.roles[c] == "feature_numeric"}
-        label_col = schema.label_column
-        dropped = set(drop_labels)
-
-        rows: list[list[str]] = []
-        label_strings: list[str] = []
-        raw_count = 0
-        invalid = 0
         for record in reader:
             raw_count += 1
-            values = {c: (record.get(c) or "").strip() for c in (*feature_cols, label_col)}
-            label = values[label_col]
-            if label in dropped:
+            values = {c: (record.get(c) or "").strip() for c in kept}
+            if values[label_col] in drop_labels:
                 continue
-            row_bad = label == ""
-            for c in feature_cols:
-                cell = values[c]
-                if cell == "":
-                    row_bad = True
-                elif c in numeric_cols:
-                    try:
-                        row_bad |= not math.isfinite(float(cell))
-                    except ValueError:
-                        row_bad = True
-            if row_bad:
+            try:
+                for c in numeric_cols:
+                    values[c] = float(values[c])  # an empty cell raises here too
+            except ValueError:
                 invalid += 1
                 continue
-            rows.append([values[c] for c in feature_cols])
-            label_strings.append(label)
+            if "" in values.values() or not all(math.isfinite(values[c]) for c in numeric_cols):
+                invalid += 1
+                continue
+            for c, v in values.items():
+                kept[c].append(v)
 
-    class_names: list[str] = []
-    seen: dict[str, int] = {}
-    for s in label_strings:
-        if s not in seen:
-            seen[s] = len(class_names)
-            class_names.append(s)
-    labels = np.array([seen[s] for s in label_strings], dtype=np.int64)
-    if not rows:
+    if not kept[label_col]:
         raise ValueError(f"{path}: no usable rows after cleaning")
-    return RawTable(
-        columns=feature_cols,
-        rows=rows,
-        labels=labels,
-        class_names=class_names,
-        raw_row_count=raw_count,
-        dropped_rows=invalid,
-    )
+    class_names, labels = _first_appearance(np.array(kept.pop(label_col)))
+    columns = {c: np.array(v, dtype=np.float64 if c in numeric_cols else str) for c, v in kept.items()}
+    return RawTable(columns, labels, class_names.tolist(), raw_count, invalid)
 
 
 @dataclass
@@ -218,48 +208,30 @@ class FeatureEncoder:
     STD_FLOOR = 1e-12
 
     def fit(self, table: RawTable) -> "FeatureEncoder":
-        col_index = {c: i for i, c in enumerate(table.columns)}
         for col in self.schema.feature_columns:
-            values = [row[col_index[col]] for row in table.rows]
+            values = table.columns[col]
             if self.schema.roles[col] == "feature_categorical":
-                cats: list[str] = []
-                seen: set[str] = set()
-                for v in values:
-                    if v not in seen:
-                        seen.add(v)
-                        cats.append(v)
-                self.categories[col] = cats
+                self.categories[col] = _first_appearance(values)[0].tolist()
             else:
-                arr = np.array([float(v) for v in values])
-                self.numeric_stats[col] = (float(arr.mean()), max(float(arr.std()), self.STD_FLOOR))
+                self.numeric_stats[col] = (float(values.mean()), max(float(values.std()), self.STD_FLOOR))
         return self
 
     def transform(self, table: RawTable) -> LabeledDataset:
-        col_index = {c: i for i, c in enumerate(table.columns)}
         blocks: list[np.ndarray] = []
         for col in self.schema.feature_columns:
-            values = [row[col_index[col]] for row in table.rows]
+            values = table.columns[col]
             if self.schema.roles[col] == "feature_categorical":
-                cats = self.categories[col]
-                block = np.zeros((len(values), len(cats)))
-                lookup = {c: i for i, c in enumerate(cats)}
-                unseen = 0
-                for r, v in enumerate(values):
-                    j = lookup.get(v)
-                    if j is None:
-                        unseen += 1
-                    else:
-                        block[r, j] = 1.0
+                block = values[:, None] == np.array(self.categories[col], dtype=str)
+                unseen = values.size - int(block.sum())
                 if unseen:
                     warnings.warn(
                         f"column {col!r}: {unseen} values unseen at fit time encoded as all-zeros"
                     )
             else:
                 mean, std = self.numeric_stats[col]
-                block = ((np.array([float(v) for v in values]) - mean) / std)[:, None]
+                block = ((values - mean) / std)[:, None]
             blocks.append(block)
-        features = np.concatenate(blocks, axis=1) if blocks else np.zeros((table.n_samples, 0))
-        return LabeledDataset(features, table.labels, list(table.class_names))
+        return LabeledDataset(np.concatenate(blocks, axis=1), table.labels, list(table.class_names))
 
 
 def to_sequences(features: np.ndarray, chunks: int) -> np.ndarray:

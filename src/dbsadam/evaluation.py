@@ -168,27 +168,41 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     return max(1.0 - central, 0.0)
 
 
+def _zero_variance(d: np.ndarray) -> bool:
+    """All differences equal. (Not a computed std of 0: equal differences
+    with an inexact mean give ~1e-13, distinct subnormal ones 0.)"""
+    return bool(np.all(d == d[0]))
+
+
+def _mean_and_sd(d: np.ndarray) -> tuple[float, float]:
+    """Mean and sample std of d scaled by the power of two that puts max |d|
+    in [0.5, 1): exact, cancels in mean / sd, and keeps the std from underflowing."""
+    d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
+    return float(d.mean()), float(d.std(ddof=1))
+
+
 def cohens_d(a, b) -> float:
     """Paired effect size: mean(a - b) / sample-std(a - b).
 
-    Zero variance with zero mean returns 0; zero variance with nonzero mean
-    returns a signed infinity (callers flag this as degenerate).
+    Zero variance (all differences equal) with zero mean returns 0; with a
+    nonzero mean it returns a signed infinity (callers flag this as
+    degenerate).
     """
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     if d.size < 2:
         raise ValueError(f"need at least 2 paired values, got {d.size}")
-    sd = float(d.std(ddof=1))
-    mean = float(d.mean())
-    if sd == 0.0:
-        return 0.0 if mean == 0.0 else math.copysign(math.inf, mean)
+    if _zero_variance(d):
+        return 0.0 if d[0] == 0.0 else math.copysign(math.inf, d[0])
+    mean, sd = _mean_and_sd(d)
     return mean / sd
 
 
 def paired_t_test(a, b, alpha: float = 0.05) -> SignificanceResult:
     """Two-sided paired t-test between same-length per-seed metric vectors.
 
-    Identical inputs give t = 0, p = 1, d = 0. Zero variance with a nonzero
-    mean difference is reported as p = 0 with the degenerate flag set.
+    Identical inputs give t = 0, p = 1, d = 0. Zero variance (all
+    differences equal) with a nonzero mean difference is reported as
+    t = +-inf, p = 0 with the degenerate flag set.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -199,15 +213,15 @@ def paired_t_test(a, b, alpha: float = 0.05) -> SignificanceResult:
         raise ValueError(f"need at least 2 pairs, got {n}")
     d = a - b
     mean = float(d.mean())
-    sd = float(d.std(ddof=1))
-    if sd == 0.0:
+    if _zero_variance(d):
         if mean == 0.0:
             return SignificanceResult(0.0, 0.0, 1.0, 0.0, False, degenerate=False)
-        t = math.copysign(math.inf, mean)
-        return SignificanceResult(mean, t, 0.0, cohens_d(a, b), True, degenerate=True)
-    t = mean * math.sqrt(n) / sd
+        t = math.copysign(math.inf, mean)  # so is Cohen's d
+        return SignificanceResult(mean, t, 0.0, t, True, degenerate=True)
+    scaled_mean, sd = _mean_and_sd(d)
+    t = scaled_mean * math.sqrt(n) / sd
     p = student_t_two_sided_p(t, n - 1)
-    return SignificanceResult(mean, t, p, cohens_d(a, b), p < alpha)
+    return SignificanceResult(mean, t, p, scaled_mean / sd, p < alpha)
 
 
 def aggregate_runs(reports: list[MetricsReport]) -> dict[str, tuple[float, float | None]]:

@@ -148,6 +148,23 @@ class TestExitCodes:
         assert code == 2
 
 
+    @pytest.mark.parametrize("schema_text, message", [
+        ("x: feature_numeric\nlabel: label\nx: ignore\n", "s.txt:3: column 'x' is listed twice"),
+        ("x: ignore\nlabel: label\n", "no feature"),
+    ])
+    def test_unusable_schema_is_runtime_error(self, tmp_path, capsys, schema_text, message):
+        data = tmp_path / "d.csv"
+        data.write_text("x,label\n" + "".join(f"{i},{'ab'[i % 2]}\n" for i in range(20)), encoding="utf-8")
+        schema = tmp_path / "s.txt"
+        schema.write_text(schema_text, encoding="utf-8")
+        code = main([
+            "train", "--dataset", str(data), "--schema_file", str(schema),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestFlagSurface:
     def test_one_flag_per_config_key(self):
         # --out is the one flag not spelled after its key (output_dir)
@@ -245,6 +262,35 @@ class TestResampleCommand:
         assert main(args) == 2
         assert "No space left" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+class TestCsvDataset:
+    def test_train_and_resample_read_a_csv(self, tmp_path):
+        from dbsadam import harness
+
+        rng = np.random.default_rng(4)
+        data = tmp_path / "d.csv"
+        lines = ["color,size,note,outcome"]
+        for _ in range(150):
+            outcome = ["slight", "serious", "fatal"][rng.choice(3, p=[0.5, 0.3, 0.2])]
+            lines.append(f"{['red', 'blue', 'green'][rng.integers(3)]},{rng.normal():.3f},x,{outcome}")
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        schema = tmp_path / "s.txt"
+        schema.write_text(
+            "color: feature_categorical\nsize: feature_numeric\nnote: ignore\noutcome: label\n",
+            encoding="utf-8",
+        )
+        config_path = tmp_path / "csv.cfg"
+        config_path.write_text(TINY + f"dataset = {data}\nschema_file = {schema}\n", encoding="utf-8")
+
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        assert main(["resample", "--config", str(config_path), "--resampler", "smote_enn",
+                     "--out", str(out)]) == 0
+        config = harness.load_config(str(config_path), {"resampler": "smote_enn"})
+        resampled = harness.prepare_training(config, config.seeds[0])[1]
+        rows = (out / "resampled.csv").read_text().splitlines()[1:]
+        assert len(rows) == resampled.n_samples
 
 
 class TestReportCommand:

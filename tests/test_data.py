@@ -1,3 +1,8 @@
+import csv
+import math
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -63,6 +68,18 @@ def write_csv(path, rows):
     path.write_text("color,size,note,outcome\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
 
+class TestFeatureSchema:
+    def test_column_listed_twice_rejected(self, tmp_path):
+        f = tmp_path / "s.txt"
+        f.write_text("x: feature_numeric\nlabel: label\nx: ignore\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"s\.txt:3: column 'x' is listed twice"):
+            FeatureSchema.from_file(str(f))
+
+    def test_schema_without_feature_column_rejected(self):
+        with pytest.raises(ValueError, match="no feature"):
+            FeatureSchema({"x": "ignore", "label": "label"})
+
+
 class TestLoadCsv:
     def test_blank_cell_dropped_and_counted(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -90,7 +107,14 @@ class TestLoadCsv:
         write_csv(f, ["a,1,x,y", "b,nan,x,y", "c,inf,x,n", "d,-inf,x,n", "e,1e400,x,y", "f,2,x,n"])
         table = load_csv_dataset(str(f), SCHEMA)
         assert table.n_samples == 2 and table.dropped_rows == 4
-        assert [row[0] for row in table.rows] == ["a", "f"]
+        assert table.columns["color"].tolist() == ["a", "f"]
+
+    def test_header_names_stripped(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("color, size,note ,outcome\nred,1,x,yes\nblue,2,x,no\n", encoding="utf-8")
+        table = load_csv_dataset(str(f), SCHEMA)
+        assert table.n_samples == 2 and table.dropped_rows == 0
+        assert table.columns["size"].tolist() == [1.0, 2.0]
 
     def test_drop_labels_filter(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -146,6 +170,177 @@ class TestEncoder:
             data = encoder.transform(new_table)
         assert np.allclose(data.features[0, :2], 0.0)
         assert data.features[1, 0] == 1.0
+
+
+ADDIS_SCHEMA = Path(__file__).resolve().parents[1] / "configs" / "addis_schema.txt"
+
+
+def reference_load(path, schema, drop_labels=()):
+    """The row-wise CSV loader the columnar one replaced, operation for
+    operation: (string rows, label ids, class names, raw count, dropped)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        feature_cols = schema.feature_columns
+        numeric_cols = {c for c in feature_cols if schema.roles[c] == "feature_numeric"}
+        label_col = schema.label_column
+        dropped = set(drop_labels)
+
+        rows = []
+        label_strings = []
+        raw_count = 0
+        invalid = 0
+        for record in reader:
+            raw_count += 1
+            values = {c: (record.get(c) or "").strip() for c in (*feature_cols, label_col)}
+            label = values[label_col]
+            if label in dropped:
+                continue
+            row_bad = label == ""
+            for c in feature_cols:
+                cell = values[c]
+                if cell == "":
+                    row_bad = True
+                elif c in numeric_cols:
+                    try:
+                        row_bad |= not math.isfinite(float(cell))
+                    except ValueError:
+                        row_bad = True
+            if row_bad:
+                invalid += 1
+                continue
+            rows.append([values[c] for c in feature_cols])
+            label_strings.append(label)
+
+    class_names = []
+    seen = {}
+    for s in label_strings:
+        if s not in seen:
+            seen[s] = len(class_names)
+            class_names.append(s)
+    labels = np.array([seen[s] for s in label_strings], dtype=np.int64)
+    return rows, labels, class_names, raw_count, invalid
+
+
+class ReferenceEncoder:
+    """The row-wise fit/transform loops the columnar encoder replaced,
+    operation for operation."""
+
+    def __init__(self, schema):
+        self.schema = schema
+        self.categories = {}
+        self.numeric_stats = {}
+
+    def fit(self, rows):
+        col_index = {c: i for i, c in enumerate(self.schema.feature_columns)}
+        for col in self.schema.feature_columns:
+            values = [row[col_index[col]] for row in rows]
+            if self.schema.roles[col] == "feature_categorical":
+                cats = []
+                seen = set()
+                for v in values:
+                    if v not in seen:
+                        seen.add(v)
+                        cats.append(v)
+                self.categories[col] = cats
+            else:
+                arr = np.array([float(v) for v in values])
+                self.numeric_stats[col] = (float(arr.mean()), max(float(arr.std()), FeatureEncoder.STD_FLOOR))
+        return self
+
+    def transform(self, rows):
+        col_index = {c: i for i, c in enumerate(self.schema.feature_columns)}
+        blocks = []
+        for col in self.schema.feature_columns:
+            values = [row[col_index[col]] for row in rows]
+            if self.schema.roles[col] == "feature_categorical":
+                cats = self.categories[col]
+                block = np.zeros((len(values), len(cats)))
+                lookup = {c: i for i, c in enumerate(cats)}
+                unseen = 0
+                for r, v in enumerate(values):
+                    j = lookup.get(v)
+                    if j is None:
+                        unseen += 1
+                    else:
+                        block[r, j] = 1.0
+                if unseen:
+                    warnings.warn(
+                        f"column {col!r}: {unseen} values unseen at fit time encoded as all-zeros"
+                    )
+            else:
+                mean, std = self.numeric_stats[col]
+                block = ((np.array([float(v) for v in values]) - mean) / std)[:, None]
+            blocks.append(block)
+        return np.concatenate(blocks, axis=1)
+
+
+def write_addis_like_csv(path, schema, n_rows, vocab, seed):
+    """A CSV with the Addis schema's columns: categorical cells drawn from
+    `vocab` values per column (some padded with spaces), small numeric
+    counts, four labels, and scattered blank and non-finite cells."""
+    rng = np.random.default_rng(seed)
+    columns = list(schema.roles)
+    labels = ["Slight Injury", "Serious Injury", "Fatal injury", "Unknown"]
+    bad_numeric = ["", "nan", "inf", "1e400", "-inf", "NaN", "two"]
+    lines = [",".join(columns)]
+    for i in range(n_rows):
+        cells = []
+        for col in columns:
+            role = schema.roles[col]
+            if role == "feature_numeric":
+                cell = f"{rng.integers(1, 7) * 0.5:g}"
+                if rng.random() < 0.01:
+                    cell = bad_numeric[rng.integers(len(bad_numeric))]
+            elif role == "label":
+                cell = labels[rng.choice(4, p=[0.6, 0.3, 0.07, 0.03])]
+            else:
+                cell = f"{col[:5]} {rng.integers(vocab)}"
+                cell = f" {cell} " if rng.random() < 0.05 else cell
+                if rng.random() < 0.002:
+                    cell = ""
+            cells.append(cell)
+        if i < len(bad_numeric):  # every kind of bad numeric cell appears
+            cells[columns.index("Number_of_casualties")] = bad_numeric[i]
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestColumnarMatchesRowwiseReference:
+    def test_addis_schema_tables_encode_byte_equal(self, tmp_path):
+        schema = FeatureSchema.from_file(str(ADDIS_SCHEMA))
+        drop = ("Unknown",)
+        fit_csv = write_addis_like_csv(tmp_path / "fit.csv", schema, 600, vocab=4, seed=1)
+        new_csv = write_addis_like_csv(tmp_path / "new.csv", schema, 300, vocab=6, seed=2)
+
+        fit_table = load_csv_dataset(fit_csv, schema, drop)
+        fit_rows, fit_labels, class_names, raw_count, dropped = reference_load(fit_csv, schema, drop)
+        assert (fit_table.raw_row_count, fit_table.dropped_rows) == (raw_count, dropped)
+        assert dropped >= 7 and fit_table.n_samples == len(fit_rows)
+        encoder = FeatureEncoder(schema).fit(fit_table)
+        reference = ReferenceEncoder(schema).fit(fit_rows)
+        assert encoder.categories == reference.categories
+        assert encoder.numeric_stats == reference.numeric_stats
+
+        new_table = load_csv_dataset(new_csv, schema, drop)
+        new_rows, new_labels, new_class_names, _, _ = reference_load(new_csv, schema, drop)
+        cases = [(fit_table, fit_rows, fit_labels, class_names),
+                 (new_table, new_rows, new_labels, new_class_names)]
+        messages = []
+        for table, rows, labels, names in cases:
+            with warnings.catch_warnings(record=True) as ours:
+                warnings.simplefilter("always")
+                data = encoder.transform(table)
+            with warnings.catch_warnings(record=True) as theirs:
+                warnings.simplefilter("always")
+                features = reference.transform(rows)
+            assert data.features.dtype == features.dtype and data.features.shape == features.shape
+            assert data.features.tobytes() == features.tobytes()
+            assert data.labels.tobytes() == labels.tobytes()
+            assert data.class_names == names
+            messages.append([str(w.message) for w in ours])
+            assert messages[-1] == [str(w.message) for w in theirs]
+        assert messages[0] == [] and len(messages[1]) > 0
 
 
 class TestToSequences:

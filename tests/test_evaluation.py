@@ -242,7 +242,12 @@ class TestPairedTTest:
                           min_size=2, max_size=30))
     def test_matches_reference_on_any_pairs(self, pairs):
         a, b = (np.array(side) for side in zip(*pairs))
-        assume(np.std(a - b, ddof=1) > 0)
+        d = a - b
+        # all-equal differences are the degenerate case, tested below; the
+        # reference's own variance must not be subnormal, or its t is +-inf,
+        # NaN or rounded where ours is exact
+        assume(not np.all(d == d[0]))
+        assume(np.var(d, ddof=1) >= np.finfo(np.float64).tiny)
         ours = paired_t_test(a, b)
         t_ref, p_ref = stats.ttest_rel(a, b)
         assert ours.t_statistic == pytest.approx(float(t_ref), rel=1e-9)
@@ -259,6 +264,22 @@ class TestPairedTTest:
         assert result.p_value == 0.0
         assert math.isinf(result.t_statistic)
         assert result.significant
+
+    def test_equal_differences_with_inexact_mean_are_degenerate(self):
+        # the three differences are equal, but their mean does not round
+        # back to 683.43369827113, so their computed std is 1.4e-13, not 0
+        result = paired_t_test([683.43369827113] * 3, [0.0] * 3)
+        assert result.degenerate
+        assert result.t_statistic == math.inf
+        assert result.cohens_d == math.inf
+
+    def test_subnormal_differences_keep_their_variance(self):
+        # the squared deviations underflow to 0 unless the differences are
+        # rescaled; t of (0, -x) is -1 at any scale
+        result = paired_t_test([0.0, 0.0], [0.0, 1e-220])
+        assert not result.degenerate
+        assert result.t_statistic == pytest.approx(-1.0, rel=1e-12)
+        assert result.cohens_d == pytest.approx(-math.sqrt(0.5), rel=1e-12)
 
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
