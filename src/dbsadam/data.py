@@ -4,7 +4,7 @@ CSV loading is schema-driven: a schema maps each column to one of the roles
 feature_categorical, feature_numeric, label, or ignore. Rows with missing or
 unparseable values in used columns are dropped and counted, and the rows
 kept are stored column by column: numeric cells parsed once into float
-arrays, categorical cells as str arrays. Encoding fits one-hot category sets
+arrays, categorical cells as object arrays of the cell strings. Encoding fits one-hot category sets
 and z-score statistics on the training split only.
 """
 
@@ -123,7 +123,9 @@ class RawTable:
     """Cleaned CSV columns before encoding.
 
     columns maps each feature column, in schema order, to one array over the
-    kept rows: float64 for feature_numeric, str for feature_categorical.
+    kept rows: float64 for feature_numeric, an object array of the cell
+    strings for feature_categorical (not fixed-width: no padding to the
+    longest cell, and trailing NULs are kept).
     """
 
     columns: dict[str, np.ndarray]
@@ -187,8 +189,8 @@ def load_csv_dataset(
 
     if not kept[label_col]:
         raise ValueError(f"{path}: no usable rows after cleaning")
-    class_names, labels = _first_appearance(np.array(kept.pop(label_col)))
-    columns = {c: np.array(v, dtype=np.float64 if c in numeric_cols else str) for c, v in kept.items()}
+    class_names, labels = _first_appearance(np.array(kept.pop(label_col), dtype=object))
+    columns = {c: np.array(v, dtype=np.float64 if c in numeric_cols else object) for c, v in kept.items()}
     return RawTable(columns, labels, class_names.tolist(), raw_count, invalid)
 
 
@@ -221,7 +223,7 @@ class FeatureEncoder:
         for col in self.schema.feature_columns:
             values = table.columns[col]
             if self.schema.roles[col] == "feature_categorical":
-                block = values[:, None] == np.array(self.categories[col], dtype=str)
+                block = values[:, None] == np.array(self.categories[col], dtype=object)
                 unseen = values.size - int(block.sum())
                 if unseen:
                     warnings.warn(

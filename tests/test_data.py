@@ -276,8 +276,10 @@ class ReferenceEncoder:
 
 def write_addis_like_csv(path, schema, n_rows, vocab, seed):
     """A CSV with the Addis schema's columns: categorical cells drawn from
-    `vocab` values per column (some padded with spaces), small numeric
-    counts, four labels, and scattered blank and non-finite cells."""
+    `vocab` values per column (some padded with spaces, some with a trailing
+    NUL that makes them a category of their own), small numeric counts, four
+    labels and one NUL-suffixed label, and scattered blank and non-finite
+    cells."""
     rng = np.random.default_rng(seed)
     columns = list(schema.roles)
     labels = ["Slight Injury", "Serious Injury", "Fatal injury", "Unknown"]
@@ -296,11 +298,14 @@ def write_addis_like_csv(path, schema, n_rows, vocab, seed):
             else:
                 cell = f"{col[:5]} {rng.integers(vocab)}"
                 cell = f" {cell} " if rng.random() < 0.05 else cell
+                cell = f"{cell}\x00" if rng.random() < 0.02 else cell
                 if rng.random() < 0.002:
                     cell = ""
             cells.append(cell)
         if i < len(bad_numeric):  # every kind of bad numeric cell appears
             cells[columns.index("Number_of_casualties")] = bad_numeric[i]
+        if i == len(bad_numeric):
+            cells[columns.index(schema.label_column)] = "Slight Injury\x00"
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -321,6 +326,8 @@ class TestColumnarMatchesRowwiseReference:
         reference = ReferenceEncoder(schema).fit(fit_rows)
         assert encoder.categories == reference.categories
         assert encoder.numeric_stats == reference.numeric_stats
+        assert "Slight Injury\x00" in fit_table.class_names and "Slight Injury" in fit_table.class_names
+        assert any(c + "\x00" in cats for cats in encoder.categories.values() for c in cats)
 
         new_table = load_csv_dataset(new_csv, schema, drop)
         new_rows, new_labels, new_class_names, _, _ = reference_load(new_csv, schema, drop)
