@@ -198,14 +198,14 @@ def load_csv_dataset(
 class FeatureEncoder:
     """One-hot + z-score transform fitted on a training table.
 
-    categories holds the per-column category list seen at fit time (order of
-    first appearance); numeric_stats the (mean, std) pairs with std floored
-    at 1e-12 so constant columns transform to zeros.
+    fit computes categories, the per-column category list seen at fit time
+    (order of first appearance), and numeric_stats, the (mean, std) pairs
+    with std floored at 1e-12 so constant columns transform to zeros.
     """
 
     schema: FeatureSchema
-    categories: dict[str, list[str]] = field(default_factory=dict)
-    numeric_stats: dict[str, tuple[float, float]] = field(default_factory=dict)
+    categories: dict[str, list[str]] = field(default_factory=dict, init=False)
+    numeric_stats: dict[str, tuple[float, float]] = field(default_factory=dict, init=False)
 
     STD_FLOOR = 1e-12
 

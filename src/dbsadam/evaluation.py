@@ -182,19 +182,9 @@ def _mean_and_sd(d: np.ndarray) -> tuple[float, float]:
 
 
 def cohens_d(a, b) -> float:
-    """Paired effect size: mean(a - b) / sample-std(a - b).
-
-    Zero variance (all differences equal) with zero mean returns 0; with a
-    nonzero mean it returns a signed infinity (callers flag this as
-    degenerate).
-    """
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    if d.size < 2:
-        raise ValueError(f"need at least 2 paired values, got {d.size}")
-    if _zero_variance(d):
-        return 0.0 if d[0] == 0.0 else math.copysign(math.inf, d[0])
-    mean, sd = _mean_and_sd(d)
-    return mean / sd
+    """Paired effect size mean(a - b) / sample-std(a - b): the cohens_d of
+    paired_t_test(a, b), with its input checks and zero-variance rule."""
+    return paired_t_test(a, b).cohens_d
 
 
 def paired_t_test(a, b, alpha: float = 0.05) -> SignificanceResult:
@@ -202,7 +192,8 @@ def paired_t_test(a, b, alpha: float = 0.05) -> SignificanceResult:
 
     Identical inputs give t = 0, p = 1, d = 0. Zero variance (all
     differences equal) with a nonzero mean difference is reported as
-    t = +-inf, p = 0 with the degenerate flag set.
+    t = +-inf, p = 0 with the degenerate flag set. A NaN or infinite paired
+    value or difference raises ValueError.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -211,7 +202,10 @@ def paired_t_test(a, b, alpha: float = 0.05) -> SignificanceResult:
     n = a.size
     if n < 2:
         raise ValueError(f"need at least 2 pairs, got {n}")
-    d = a - b
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        d = a - b
+    if not np.isfinite(d).all():  # a NaN or inf in a or b, or an overflowing difference
+        raise ValueError(f"a paired value or difference is NaN or infinite: {a} vs {b}")
     mean = float(d.mean())
     if _zero_variance(d):
         if mean == 0.0:

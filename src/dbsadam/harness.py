@@ -245,9 +245,13 @@ def set_config_key(config: ExperimentConfig, key: str, raw: str) -> None:
 
 
 def load_config(path: str | None = None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Build a config from an optional key=value file plus override strings."""
+    """Build a config from an optional key=value file plus override strings.
+
+    The file is UTF-8 and sets each key at most once; overrides win over it.
+    """
     config = ExperimentConfig()
     if path:
+        seen: set[str] = set()
         try:
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
@@ -257,8 +261,11 @@ def load_config(path: str | None = None, overrides: dict[str, str] | None = None
                     if "=" not in line:
                         raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                     key, raw = (part.strip() for part in line.split("=", 1))
+                    if key in seen:
+                        raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice")
+                    seen.add(key)
                     set_config_key(config, key, raw)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for key, raw in (overrides or {}).items():
         set_config_key(config, key, raw)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -232,11 +232,12 @@ class DifficultyTracker:
     d_max: float = 1.0
     norm_epsilon: float = 1e-8
     warmup_batches: int = 10
-    mu_g: float = 0.0
-    sigma_g: float = 0.0
-    mu_l: float = 0.0
-    sigma_l: float = 0.0
-    batches_seen: int = 0
+    # running statistics: zero until observe_batch, the only thing that advances them
+    mu_g: float = field(default=0.0, init=False)
+    sigma_g: float = field(default=0.0, init=False)
+    mu_l: float = field(default=0.0, init=False)
+    sigma_l: float = field(default=0.0, init=False)
+    batches_seen: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not (0.0 < self.d_min <= self.d_max):
@@ -307,15 +308,6 @@ def observe_batch(tracker: DifficultyTracker, grad_norm: float, batch_loss: floa
     return tracker.difficulty(grad_norm, batch_loss)
 
 
-def scaled_learning_rate(tracker: DifficultyTracker, base_lr: float, difficulty: float) -> float:
-    """Per-batch learning rate: base rate times the clipped difficulty."""
-    if not (tracker.d_min <= difficulty <= tracker.d_max):
-        raise ValueError(
-            f"difficulty {difficulty} outside [{tracker.d_min}, {tracker.d_max}]"
-        )
-    return base_lr * difficulty
-
-
 def dbs_adam_step(
     params: Params,
     grads: Params,
@@ -329,8 +321,7 @@ def dbs_adam_step(
     batch_loss must be the mean loss of the same batch that produced grads.
     """
     grad_norm = math.sqrt(_check_shapes(params, grads))
-    difficulty = observe_batch(tracker, grad_norm, batch_loss)
-    lr = scaled_learning_rate(tracker, config.base_lr, difficulty)
+    lr = config.base_lr * observe_batch(tracker, grad_norm, batch_loss)
     _adam_update(params, grads, state, config, lr)
     return lr
 

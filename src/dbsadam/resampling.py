@@ -172,16 +172,9 @@ def smote_enn(
     if rng is None:
         rng = SeededRng(0)
     counts = np.bincount(data.labels, minlength=data.n_classes)
-
-    def synthesize(c: int, deficit: int) -> np.ndarray:
-        if counts[c] < 2:
-            raise ValueError(
-                f"class {c} has {int(counts[c])} samples, need at least 2 "
-                f"(counts: {counts.tolist()})"
-            )
-        return smote_generate(data, c, deficit, min(smote_k, int(counts[c]) - 1), rng.child(c))
-
-    cleaned, _ = enn_filter(_oversample(data, synthesize), enn_k)
+    oversampled = _oversample(data, lambda c, deficit: smote_generate(
+        data, c, deficit, min(smote_k, int(counts[c]) - 1), rng.child(c)))
+    cleaned, _ = enn_filter(oversampled, enn_k)
     return cleaned
 
 

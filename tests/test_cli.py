@@ -55,6 +55,13 @@ class TestExitCodes:
         bad.write_text("not_a_key = 1\n", encoding="utf-8")
         assert main(["train", "--config", str(bad)]) == 1
 
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"optimizer = adam # \xff\n")
+        assert main(["train", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "latin1.cfg" in err and "utf-8" in err
+
     def test_invalid_value_is_config_error(self, config_file):
         for flags in [
             ("--batch_size", "0"),

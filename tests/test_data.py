@@ -171,6 +171,11 @@ class TestEncoder:
         assert np.allclose(data.features[0, :2], 0.0)
         assert data.features[1, 0] == 1.0
 
+    @pytest.mark.parametrize("name", ["categories", "numeric_stats"])
+    def test_fitted_state_is_not_a_constructor_option(self, name):
+        with pytest.raises(TypeError):
+            FeatureEncoder(SCHEMA, **{name: {}})
+
 
 ADDIS_SCHEMA = Path(__file__).resolve().parents[1] / "configs" / "addis_schema.txt"
 

@@ -295,6 +295,16 @@ class TestPairedTTest:
         with pytest.raises(ValueError, match="NaN"):
             paired_t_test([math.nan, 1.0, 2.0], [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("a, b", [
+        ([math.inf] * 3, [0.0] * 3),                  # all-equal infinite differences
+        ([math.inf, 1.0, 2.0], [0.0] * 3),
+        ([0.0, 1.0, 2.0], [-math.inf, 0.0, 0.0]),
+        ([1e308, 0.0, 1.0], [-1e308, 0.0, 0.0]),      # finite values, overflowing difference
+    ])
+    def test_infinite_pair_rejected(self, a, b):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            paired_t_test(a, b)
+
 
 class TestCohensD:
     def test_identical(self):
@@ -312,6 +322,16 @@ class TestCohensD:
     def test_degenerate_sign(self):
         assert cohens_d([1.0, 1.0], [0.0, 0.0]) == math.inf
         assert cohens_d([0.0, 0.0], [1.0, 1.0]) == -math.inf
+
+    def test_mismatched_lengths_rejected(self):
+        # no broadcasting of a length-1 side
+        with pytest.raises(ValueError, match="differ in shape"):
+            cohens_d([1.0, 2.0, 3.0], [1.0])
+
+    @pytest.mark.parametrize("a", [[math.nan, 1.0, 2.0], [math.inf, 1.0, 2.0]])
+    def test_non_finite_rejected(self, a):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            cohens_d(a, [0.0, 0.0, 0.0])
 
 
 def report_with(**overrides):

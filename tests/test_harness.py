@@ -143,6 +143,19 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.cfg")
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seeds = 1, 2\nbase_lr = 0.01\nseeds = 3, 4\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"run\.cfg:3: key 'seeds' is set twice"):
+            load_config(str(path))
+        path.write_text("seeds = 1, 2\n", encoding="utf-8")
+        assert load_config(str(path), {"seeds": "3, 4"}).seeds == (3, 4)  # a flag still wins
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        load_config(str(path))
+
     def test_readme_key_table_lists_every_field(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         table = readme.split("| group | keys |", 1)[1].split("\n\n", 1)[0]

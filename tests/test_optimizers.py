@@ -18,7 +18,6 @@ from dbsadam.optimizers import (
     _check_shapes,
     dbs_adam_step,
     observe_batch,
-    scaled_learning_rate,
 )
 
 # frozen from a scalar step-by-step evaluation of the update equations
@@ -337,19 +336,17 @@ class TestDifficultyTracker:
         with pytest.raises(ValueError):
             DifficultyTracker(**field)
 
+    @pytest.mark.parametrize("name", ["mu_g", "sigma_g", "mu_l", "sigma_l", "batches_seen"])
+    def test_running_statistics_are_not_constructor_options(self, name):
+        with pytest.raises(TypeError):
+            DifficultyTracker(**{name: 1.0})
 
-class TestScaledLearningRate:
-    def test_midpoint(self):
+    def test_replace_starts_the_statistics_at_zero(self):
         tracker = DifficultyTracker()
-        assert scaled_learning_rate(tracker, 0.001, 0.5) == pytest.approx(0.0005)
-
-    def test_max_difficulty(self):
-        tracker = DifficultyTracker()
-        assert scaled_learning_rate(tracker, 0.001, tracker.d_max) == pytest.approx(0.001 * tracker.d_max)
-
-    def test_out_of_range_difficulty_rejected(self):
-        with pytest.raises(ValueError):
-            scaled_learning_rate(DifficultyTracker(), 0.001, 2.0)
+        observe_batch(tracker, 2.0, 3.0)
+        fresh = dataclasses.replace(tracker, ema_beta=0.9)
+        assert (fresh.ema_beta, fresh.mu_g, fresh.sigma_g, fresh.mu_l, fresh.sigma_l,
+                fresh.batches_seen) == (0.9, 0.0, 0.0, 0.0, 0.0, 0)
 
 
 class TestGradientSignal:
