@@ -8,10 +8,11 @@ minute; raise `seeds`/`optimizers` below for the full table.
 
 from dbsadam import compare_optimizers, emit_report, load_config
 
-config = load_config("configs/benchmark.cfg")
-config.optimizers = ("adam", "adabound", "dbs_adam")
-config.seeds = (42, 123)
-config.output_dir = "out/comparison_demo"
+config = load_config("configs/benchmark.cfg", {
+    "optimizers": "adam, adabound, dbs_adam",
+    "seeds": "42, 123",
+    "output_dir": "out/comparison_demo",
+})
 
 print(f"comparing {config.optimizers} over seeds {config.seeds}...")
 report = compare_optimizers(config)

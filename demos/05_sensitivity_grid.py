@@ -9,11 +9,12 @@ if you have a few minutes.
 
 from dbsadam import load_config, sensitivity_sweep
 
-config = load_config("configs/benchmark.cfg")
-config.output_dir = "out/sweep_demo"
-config.beta_grid = (0.9, 0.95)
-config.alpha_grid = (0.3, 0.5)
-config.sweep_seeds = 2  # the first two configured seeds: 42 and 123
+config = load_config("configs/benchmark.cfg", {
+    "output_dir": "out/sweep_demo",
+    "beta_grid": "0.9, 0.95",
+    "alpha_grid": "0.3, 0.5",
+    "sweep_seeds": "2",  # the first two configured seeds: 42 and 123
+})
 
 print(f"sweeping beta in {config.beta_grid} x alpha in {config.alpha_grid}, "
       f"{config.sweep_seeds} seeds per cell...\n")

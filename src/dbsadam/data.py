@@ -22,6 +22,14 @@ from .numerics import SeededRng
 COLUMN_ROLES = ("feature_categorical", "feature_numeric", "label", "ignore")
 
 
+def _row_indices(indices) -> np.ndarray:
+    """indices as int64 rows; a bool mask or a float array is rejected, not truncated to rows."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"subset takes integer row indices, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 @dataclass
 class LabeledDataset:
     """Numeric feature matrix (N, F) with integer class labels (N,)."""
@@ -55,7 +63,7 @@ class LabeledDataset:
         return len(self.class_names)
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = _row_indices(indices)
         return LabeledDataset(self.features[idx], self.labels[idx], list(self.class_names))
 
 
@@ -139,7 +147,7 @@ class RawTable:
         return self.labels.size
 
     def subset(self, indices: np.ndarray) -> "RawTable":
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = _row_indices(indices)
         return replace(self, columns={c: v[idx] for c, v in self.columns.items()},
                        labels=self.labels[idx], class_names=list(self.class_names))
 

@@ -26,6 +26,7 @@ _HEADLINE_FIELDS = {
     "loss": "mean_loss",
 }
 METRIC_KEYS = tuple(_HEADLINE_FIELDS)
+SIGNIFICANCE_LEVEL = 0.05  # paired_t_test's significant: p < SIGNIFICANCE_LEVEL
 
 
 @dataclass
@@ -174,11 +175,12 @@ def _zero_variance(d: np.ndarray) -> bool:
     return bool(np.all(d == d[0]))
 
 
-def _mean_and_sd(d: np.ndarray) -> tuple[float, float]:
-    """Mean and sample std of d scaled by the power of two that puts max |d|
-    in [0.5, 1): exact, cancels in mean / sd, and keeps the std from underflowing."""
-    d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
-    return float(d.mean()), float(d.std(ddof=1))
+def _mean_and_sd(d: np.ndarray) -> tuple[float, float, int]:
+    """Mean and sample std of d scaled by 2**-e to put max |d| in [0.5, 1), and e:
+    exact, cancels in mean / sd, and keeps sums from overflowing and std from underflowing."""
+    e = int(np.frexp(np.abs(d).max())[1])
+    d = np.ldexp(d, -e)
+    return float(d.mean()), float(d.std(ddof=1)), e
 
 
 def cohens_d(a, b) -> float:
@@ -187,7 +189,7 @@ def cohens_d(a, b) -> float:
     return paired_t_test(a, b).cohens_d
 
 
-def paired_t_test(a, b, alpha: float = 0.05) -> SignificanceResult:
+def paired_t_test(a, b) -> SignificanceResult:
     """Two-sided paired t-test between same-length per-seed metric vectors.
 
     Identical inputs give t = 0, p = 1, d = 0. Zero variance (all
@@ -206,16 +208,16 @@ def paired_t_test(a, b, alpha: float = 0.05) -> SignificanceResult:
         d = a - b
     if not np.isfinite(d).all():  # a NaN or inf in a or b, or an overflowing difference
         raise ValueError(f"a paired value or difference is NaN or infinite: {a} vs {b}")
-    mean = float(d.mean())
+    scaled_mean, sd, e = _mean_and_sd(d)
+    mean = math.ldexp(scaled_mean, e)
     if _zero_variance(d):
         if mean == 0.0:
             return SignificanceResult(0.0, 0.0, 1.0, 0.0, False, degenerate=False)
         t = math.copysign(math.inf, mean)  # so is Cohen's d
         return SignificanceResult(mean, t, 0.0, t, True, degenerate=True)
-    scaled_mean, sd = _mean_and_sd(d)
     t = scaled_mean * math.sqrt(n) / sd
     p = student_t_two_sided_p(t, n - 1)
-    return SignificanceResult(mean, t, p, scaled_mean / sd, p < alpha)
+    return SignificanceResult(mean, t, p, scaled_mean / sd, p < SIGNIFICANCE_LEVEL)
 
 
 def aggregate_runs(reports: list[MetricsReport]) -> dict[str, tuple[float, float | None]]:

@@ -75,9 +75,9 @@ class ConfigError(ValueError):
     """Invalid configuration or config file; exits with code 1 at the CLI."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs, flat so it maps 1:1 onto config-file keys."""
+    """Everything a run needs, flat (1:1 onto config-file keys); frozen and checked when built."""
 
     # dataset: "synthetic" or a CSV path (schema_file required for CSV)
     dataset: str = "synthetic"
@@ -136,7 +136,7 @@ class ExperimentConfig:
     # output
     output_dir: str = "out"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0 <= self.patience <= self.max_epochs):
@@ -211,8 +211,7 @@ class ExperimentConfig:
 def _from_shared_fields(cls, config: ExperimentConfig):
     """Build an OptimizerConfig or DifficultyTracker from the config fields
     it shares by name; its own __post_init__ does the validation."""
-    shared = {f.name for f in fields(ExperimentConfig)}
-    return cls(**{f.name: getattr(config, f.name) for f in fields(cls) if f.name in shared})
+    return cls(**{f.name: getattr(config, f.name) for f in fields(cls) if f.name in _KEY_TYPES})
 
 
 def _parse_value(raw: str, target_type) -> object:
@@ -230,18 +229,16 @@ def _parse_value(raw: str, target_type) -> object:
 _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
-def set_config_key(config: ExperimentConfig, key: str, raw: str) -> None:
-    """Assign one config field from its textual form; a tuple field takes a
-    comma-separated list of its element type."""
+def _parse_key(key: str, raw: str) -> object:
+    """The value of one config key from its textual form; a tuple field takes
+    a comma-separated list of its element type."""
     if key not in _KEY_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
     target = _KEY_TYPES[key]
     if typing.get_origin(target) is tuple:
         elem = typing.get_args(target)[0]
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        setattr(config, key, tuple(_parse_value(p, elem) for p in parts))
-    else:
-        setattr(config, key, _parse_value(raw, target))
+        return tuple(_parse_value(p, elem) for p in raw.split(",") if p.strip())
+    return _parse_value(raw, target)
 
 
 def load_config(path: str | None = None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -249,9 +246,8 @@ def load_config(path: str | None = None, overrides: dict[str, str] | None = None
 
     The file is UTF-8 and sets each key at most once; overrides win over it.
     """
-    config = ExperimentConfig()
+    values: dict[str, object] = {}
     if path:
-        seen: set[str] = set()
         try:
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
@@ -261,16 +257,13 @@ def load_config(path: str | None = None, overrides: dict[str, str] | None = None
                     if "=" not in line:
                         raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                     key, raw = (part.strip() for part in line.split("=", 1))
-                    if key in seen:
+                    if key in values:
                         raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice")
-                    seen.add(key)
-                    set_config_key(config, key, raw)
+                    values[key] = _parse_key(key, raw)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for key, raw in (overrides or {}).items():
-        set_config_key(config, key, raw)
-    config.validate()
-    return config
+    values.update((key, _parse_key(key, raw)) for key, raw in (overrides or {}).items())
+    return ExperimentConfig(**values)
 
 
 @dataclass
@@ -391,7 +384,6 @@ def _evaluate(net, xs, labels_1h, loss_config, batch_size) -> tuple[float, np.nd
 def train(config: ExperimentConfig, seed: int) -> RunResult:
     """One full training run: split, resample, fit with early stopping,
     restore the best-validation weights, evaluate on the untouched test set."""
-    config.validate()
     started = time.perf_counter()
     _, train_ds, val_ds, test_ds = prepare_training(config, seed)
     for name, ds in (("training", train_ds), ("validation", val_ds), ("test", test_ds)):
@@ -494,12 +486,12 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
     )
 
 
-def _run_seeds(report: ComparisonReport, config: ExperimentConfig, seeds: tuple[int, ...],
+def _run_seeds(report: ComparisonReport, config: ExperimentConfig,
                tag: str = "") -> tuple[list[RunResult], dict[str, tuple[float, float | None]]]:
-    """Train config on each seed in order, append the runs to report, and
-    return them with their aggregated metrics."""
+    """Train config on each of its seeds in order, append the runs to report,
+    and return them with their aggregated metrics."""
     runs = []
-    for seed in seeds:
+    for seed in config.seeds:
         run = train(config, seed)
         run.tag = tag
         runs.append(run)
@@ -516,19 +508,17 @@ def compare_optimizers(
     across optimizers; each optimizer pair gets one t-test and effect size
     per metric.
     """
-    seeds = tuple(seeds) if seeds is not None else config.seeds
-    replace(config, seeds=seeds).validate()
+    if seeds is not None:
+        config = replace(config, seeds=tuple(seeds))
     if len(config.optimizers) < 2:
         raise ConfigError("comparison needs at least 2 optimizers")
-    if len(seeds) < 2:
+    if len(config.seeds) < 2:
         raise ConfigError("comparison needs at least 2 seeds")
 
     report = ComparisonReport()
     by_name: dict[str, list[RunResult]] = {}
     for name in config.optimizers:
-        by_name[name], report.aggregates[name] = _run_seeds(
-            report, replace(config, optimizer=name), seeds
-        )
+        by_name[name], report.aggregates[name] = _run_seeds(report, replace(config, optimizer=name))
 
     for a, b in itertools.combinations(config.optimizers, 2):
         for metric in METRIC_KEYS:
@@ -545,7 +535,6 @@ def sensitivity_sweep(config: ExperimentConfig) -> ComparisonReport:
     """Cross-product sweep of the EMA decay (beta_grid) and mix weight
     (alpha_grid) for the difficulty-scaled optimizer; each cell aggregates
     over the first sweep_seeds of the configured seeds."""
-    config.validate()
     if config.sweep_seeds > len(config.seeds):
         raise ConfigError(
             f"sweep_seeds={config.sweep_seeds} exceeds the {len(config.seeds)} configured seeds"
@@ -556,8 +545,8 @@ def sensitivity_sweep(config: ExperimentConfig) -> ComparisonReport:
 
     report = ComparisonReport()
     for beta, alpha in itertools.product(config.beta_grid, config.alpha_grid):
-        cell_cfg = replace(config, optimizer="dbs_adam", ema_beta=beta, alpha_mix=alpha)
-        _, metrics = _run_seeds(report, cell_cfg, seeds, tag=f"beta={beta:g},alpha={alpha:g}")
+        cell_cfg = replace(config, optimizer="dbs_adam", ema_beta=beta, alpha_mix=alpha, seeds=seeds)
+        _, metrics = _run_seeds(report, cell_cfg, tag=f"beta={beta:g},alpha={alpha:g}")
         report.sweep.append({"beta": beta, "alpha": alpha, "seeds": list(seeds),
                              "metrics": {k: list(v) for k, v in metrics.items()}})
     return report

@@ -18,7 +18,7 @@ import numpy as np
 Params = dict[str, np.ndarray]
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     """Shared hyperparameters for the Adam family.
 

@@ -8,9 +8,9 @@ bits on purpose rewrites the file and names the entries that moved.
 
 The digests cover train() on a reduced desk config (every RunResult field
 but wall_clock), the smote_enn and adasyn resampled arrays, and the three
-files of a 2 x 2 compare with the timing fields zeroed. Float results are
-only reproducible on the same Python, NumPy, BLAS and SIMD set, so the file
-also stores that fingerprint.
+files of a 2 x 2 compare and of a one-seed 2 x 1 sweep, with the timing
+fields zeroed. Float results are only reproducible on the same Python,
+NumPy, BLAS and SIMD set, so the file also stores that fingerprint.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dbsadam.harness import (
     emit_report,
     load_config,
     prepare_training,
+    sensitivity_sweep,
     train,
 )
 
@@ -90,8 +91,8 @@ def _run_digest(run) -> str:
     return _sha(json.dumps(fields, sort_keys=True).encode())
 
 
-def _compare_digests() -> dict[str, str]:
-    report = compare_optimizers(_config(optimizers="adam, dbs_adam", seeds="42, 123"))
+def _report_digests(name: str, report) -> dict[str, str]:
+    """Digests of the files emit_report writes, with the timing fields zeroed."""
     for run in report.runs:
         run.wall_clock = 0.0
     with tempfile.TemporaryDirectory() as out:
@@ -99,7 +100,7 @@ def _compare_digests() -> dict[str, str]:
         digests = {}
         for path in paths:
             with open(path, "rb") as fh:
-                digests[f"compare/{os.path.basename(path)}"] = _sha(fh.read())
+                digests[f"{name}/{os.path.basename(path)}"] = _sha(fh.read())
     return digests
 
 
@@ -110,7 +111,10 @@ def digests() -> dict[str, str]:
     for resampler in ("smote_enn", "adasyn"):
         _, resampled, _, _ = prepare_training(_config(resampler=resampler), _SEED)
         out[f"resampled/{resampler}"] = _array_digest(resampled.features, resampled.labels)
-    out.update(_compare_digests())
+    out.update(_report_digests(
+        "compare", compare_optimizers(_config(optimizers="adam, dbs_adam", seeds="42, 123"))))
+    out.update(_report_digests(
+        "sweep", sensitivity_sweep(_config(beta_grid="0.9, 0.95", alpha_grid="0.5", sweep_seeds="1"))))
     return out
 
 

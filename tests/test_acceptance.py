@@ -8,6 +8,7 @@ lines as they complete. The end-to-end benchmark criteria (7, 8) train
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -277,9 +278,7 @@ def test_criterion_7_end_to_end_benchmark():
         accuracies = {}
         for optimizer in ("adam", "amsgrad", "adamw", "adabound", "dbs_adam"):
             for seed in config.seeds:
-                cfg = _benchmark_config()
-                cfg.optimizer = optimizer
-                run = train(cfg, seed)
+                run = train(replace(_benchmark_config(), optimizer=optimizer), seed)
                 accuracies[(optimizer, seed)] = run.metrics.accuracy
         elapsed = time.perf_counter() - started
         worst = min(accuracies.values())
@@ -288,8 +287,7 @@ def test_criterion_7_end_to_end_benchmark():
         assert all(a >= 0.90 for a in accuracies.values())
 
         # bit-identical re-run of one cell
-        cfg = _benchmark_config()
-        cfg.optimizer = "dbs_adam"
+        cfg = replace(_benchmark_config(), optimizer="dbs_adam")
         first = train(cfg, config.seeds[0])
         second = train(cfg, config.seeds[0])
         assert first.metrics == second.metrics

@@ -33,6 +33,16 @@ class TestLabeledDataset:
         assert np.array_equal(sub.features, [[4.0, 5.0], [0.0, 1.0]])
         assert np.array_equal(sub.labels, [0, 0])
 
+    def test_subset_rejects_a_mask_or_float_indices(self):
+        # converted to int64, the mask's True/False would select rows 1 and 0
+        data = synthetic_benchmark(n_samples=10, seed=1)
+        for indices in (data.labels == 0, np.array([0.0, 1.5])):
+            with pytest.raises(ValueError, match="integer row indices"):
+                data.subset(indices)
+        class_0 = data.subset(np.flatnonzero(data.labels == 0))
+        assert class_0.n_samples == 7 and not class_0.labels.any()
+        assert data.subset([]).n_samples == 0
+
 
 class TestClassDistribution:
     def test_published_four_class_counts(self):
@@ -88,6 +98,17 @@ class TestLoadCsv:
         assert table.raw_row_count == 5
         assert table.dropped_rows == 1
         assert table.n_samples == 4
+
+    def test_subset_rejects_a_mask_or_float_indices(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_csv(f, ["red,1.0,x,yes", "blue,2.0,x,no", "red,3.0,x,yes"])
+        table = load_csv_dataset(str(f), SCHEMA)
+        for indices in (table.labels == 1, np.array([0.0, 2.0])):
+            with pytest.raises(ValueError, match="integer row indices"):
+                table.subset(indices)
+        sub = table.subset(np.flatnonzero(table.labels == 1))
+        assert sub.columns["size"].tolist() == [2.0]
+        assert table.subset([]).n_samples == 0
 
     def test_label_ids_in_first_appearance_order(self, tmp_path):
         f = tmp_path / "d.csv"

@@ -287,6 +287,17 @@ class TestPairedTTest:
         assert result.t_statistic == pytest.approx(-1.0, rel=1e-12)
         assert result.cohens_d == pytest.approx(-math.sqrt(0.5), rel=1e-12)
 
+    @pytest.mark.parametrize("a", [[1.7e308] * 3, [1.7e308, 1.6e308, 1.5e308]])
+    def test_finite_differences_whose_sum_overflows(self, a):
+        # the mean is taken from the power-of-two-scaled differences, whose
+        # sum cannot overflow, and scaled back exactly
+        result = paired_t_test(a, [0.0] * 3)
+        assert result.mean_difference == pytest.approx(math.fsum(x / 3 for x in a), rel=1e-15)
+        if len(set(a)) == 1:
+            assert result.degenerate and result.t_statistic == math.inf
+        else:
+            assert result.t_statistic == pytest.approx(16 * math.sqrt(3), rel=1e-12)
+
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
             paired_t_test([1.0], [2.0])

@@ -50,7 +50,17 @@ def tiny_config(**overrides):
 
 class TestConfigValidation:
     def test_defaults_valid(self):
-        ExperimentConfig().validate()
+        ExperimentConfig()
+
+    @pytest.mark.parametrize("config", [ExperimentConfig(), OptimizerConfig()], ids=lambda c: type(c).__name__)
+    def test_configs_are_frozen(self, config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.base_lr = 0.5
+
+    def test_replace_checks_the_copy(self):
+        config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"))
+        with pytest.raises(ConfigError, match="resampler"):
+            replace(config, resampler="bogus")
 
     @pytest.mark.parametrize("cls", [OptimizerConfig, DifficultyTracker])
     def test_shared_fields_default_to_the_component_defaults(self, cls):
@@ -108,9 +118,8 @@ class TestConfigValidation:
     def test_invalid_rejected(self, overrides):
         # the message names the offending key, so a bad focal_alpha says
         # focal_alpha and not the loss's internal weight
-        config = ExperimentConfig(**overrides)
         with pytest.raises(ConfigError, match=re.escape(next(iter(overrides)))):
-            config.validate()
+            ExperimentConfig(**overrides)
 
 
 class TestConfigFile:
@@ -427,13 +436,13 @@ class TestSweep:
 
         calls = []
         monkeypatch.setattr(harness, "train", lambda *args: calls.append(args))
-        for cfg, grids in [
-            (tiny_config(), dict(beta_grid=(0.9, 1.5), alpha_grid=(0.5,))),
-            (tiny_config(), dict(beta_grid=(0.9,), alpha_grid=(0.5, 1.2))),
-            (tiny_config(beta_grid=(0.9, 1.5)), {}),
+        for grids in [
+            dict(beta_grid=(0.9, 1.5), alpha_grid=(0.5,)),
+            dict(beta_grid=(0.9,), alpha_grid=(0.5, 1.2)),
+            dict(beta_grid=(0.9, 1.5)),
         ]:
             with pytest.raises(ConfigError, match="grid"):
-                sensitivity_sweep(replace(cfg, seeds=(1, 2), **grids))
+                sensitivity_sweep(tiny_config(**grids))
         assert calls == []
 
 
