@@ -64,7 +64,6 @@ from .numerics import (
     finite_difference_gradient,
 )
 from .optimizers import (
-    DifficultyTracker,
     OptimizerConfig,
     OptimizerState,
     adabound_step,

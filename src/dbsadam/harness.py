@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import os
 import time
 import typing
@@ -53,7 +54,6 @@ from .numerics import SeededRng
 from .optimizers import (
     OPTIMIZER_NAMES,
     OPTIMIZER_STEPS,
-    DifficultyTracker,
     OptimizerConfig,
     OptimizerState,
     dbs_adam_step,
@@ -73,6 +73,20 @@ _STREAM_DROPOUT = 5
 
 class ConfigError(ValueError):
     """Invalid configuration or config file; exits with code 1 at the CLI."""
+
+
+def _typed(key: str, value, target):
+    """value as a field of type target: an int field takes an integer, a float
+    field any real number, stored as a float (neither takes a bool), and a
+    tuple field a list or tuple of its element type, stored as a tuple."""
+    if typing.get_origin(target) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list or tuple, got {value!r}")
+        return tuple(_typed(key, v, typing.get_args(target)[0]) for v in value)
+    kind = {int: numbers.Integral, float: numbers.Real}.get(target, target)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{key} must be {target.__name__}, got {value!r}")
+    return target(value)
 
 
 @dataclass(frozen=True)
@@ -117,13 +131,13 @@ class ExperimentConfig:
     adabound_final_lr: float = OptimizerConfig.adabound_final_lr
     adabound_gamma: float = OptimizerConfig.adabound_gamma
     # batch-difficulty scaling
-    ema_beta: float = DifficultyTracker.ema_beta
-    alpha_mix: float = DifficultyTracker.alpha_mix
-    clip_k: float = DifficultyTracker.clip_k
-    d_min: float = DifficultyTracker.d_min
-    d_max: float = DifficultyTracker.d_max
-    norm_epsilon: float = DifficultyTracker.norm_epsilon
-    warmup_batches: int = DifficultyTracker.warmup_batches
+    ema_beta: float = OptimizerConfig.ema_beta
+    alpha_mix: float = OptimizerConfig.alpha_mix
+    clip_k: float = OptimizerConfig.clip_k
+    d_min: float = OptimizerConfig.d_min
+    d_max: float = OptimizerConfig.d_max
+    norm_epsilon: float = OptimizerConfig.norm_epsilon
+    warmup_batches: int = OptimizerConfig.warmup_batches
     # training
     batch_size: int = 32
     max_epochs: int = 30
@@ -137,8 +151,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for key, target in _KEY_TYPES.items():
+            object.__setattr__(self, key, _typed(key, getattr(self, key), target))
         if not (0 <= self.patience <= self.max_epochs):
             raise ConfigError(
                 f"patience must lie in [0, max_epochs={self.max_epochs}], got {self.patience}"
@@ -169,12 +183,8 @@ class ExperimentConfig:
             raise ConfigError("a CSV dataset requires schema_file")
         if not self.output_dir:
             raise ConfigError("output_dir must be non-empty")
-        if self.sweep_seeds < 1:
-            raise ConfigError(f"sweep_seeds must be >= 1, got {self.sweep_seeds}")
-        if self.sequence_chunks < 1:
-            raise ConfigError(f"sequence_chunks must be >= 1, got {self.sequence_chunks}")
-        for name in ("smote_k", "enn_k", "adasyn_k", "hidden1", "hidden2", "dense_units",
-                     "max_epochs"):
+        for name in ("batch_size", "max_epochs", "sweep_seeds", "sequence_chunks", "smote_k",
+                     "enn_k", "adasyn_k", "hidden1", "hidden2", "dense_units"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -194,24 +204,23 @@ class ExperimentConfig:
         if not 0.0 < self.focal_alpha < math.inf:
             raise ConfigError(f"focal_alpha must be strictly positive and finite, got {self.focal_alpha}")
         try:
-            _from_shared_fields(OptimizerConfig, self)
-            tracker = _from_shared_fields(DifficultyTracker, self)
+            opt_config = _from_shared_fields(self)
             LossConfig(weight=self.focal_alpha, gamma=self.gamma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # every sweep cell runs a tracker with one grid value swapped in
+        # every sweep cell runs dbs_adam with one grid value swapped in
         for key, name in (("beta_grid", "ema_beta"), ("alpha_grid", "alpha_mix")):
             for value in getattr(self, key):
                 try:
-                    replace(tracker, **{name: value})
+                    replace(opt_config, **{name: value})
                 except ValueError as exc:
                     raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _from_shared_fields(cls, config: ExperimentConfig):
-    """Build an OptimizerConfig or DifficultyTracker from the config fields
-    it shares by name; its own __post_init__ does the validation."""
-    return cls(**{f.name: getattr(config, f.name) for f in fields(cls) if f.name in _KEY_TYPES})
+def _from_shared_fields(config: ExperimentConfig) -> OptimizerConfig:
+    """The OptimizerConfig of the fields it shares by name with config; its
+    own __post_init__ does the validation."""
+    return OptimizerConfig(**{f.name: getattr(config, f.name) for f in fields(OptimizerConfig)})
 
 
 def _parse_value(raw: str, target_type) -> object:
@@ -410,9 +419,8 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
     )
     params = net.params(x_train.shape[1])
     state = OptimizerState(params)
-    opt_config = _from_shared_fields(OptimizerConfig, config)
+    opt_config = _from_shared_fields(config)
     is_dbs = config.optimizer == "dbs_adam"
-    tracker = _from_shared_fields(DifficultyTracker, config) if is_dbs else None
     loss_config = _make_loss_config(config, train_ds.labels, n_classes)
 
     shuffle_rng = root.child(_STREAM_SHUFFLE)
@@ -439,7 +447,7 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
                 batch_loss = float(per.mean())
                 grads = network_backward(net, cache, loss_gradient(loss_config, logits, yb))
                 if is_dbs:
-                    lr = dbs_adam_step(params, grads, state, opt_config, tracker, batch_loss)
+                    lr = dbs_adam_step(params, grads, state, opt_config, batch_loss)
                     lr_trace.append(lr)
                 else:
                     OPTIMIZER_STEPS[config.optimizer](params, grads, state, opt_config)
@@ -509,7 +517,7 @@ def compare_optimizers(
     per metric.
     """
     if seeds is not None:
-        config = replace(config, seeds=tuple(seeds))
+        config = replace(config, seeds=seeds)
     if len(config.optimizers) < 2:
         raise ConfigError("comparison needs at least 2 optimizers")
     if len(config.seeds) < 2:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ Params = dict[str, np.ndarray]
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Shared hyperparameters for the Adam family.
+    """Shared hyperparameters for the Adam family and the difficulty scaler.
 
     epsilon sits outside the square root, as in Kingma & Ba's Algorithm 1:
     the denominator is sqrt(v_hat) + eps.
@@ -33,16 +33,33 @@ class OptimizerConfig:
     weight_decay: float = 0.01          # adamw only
     adabound_final_lr: float = 0.1      # adabound only
     adabound_gamma: float = 1e-3        # adabound only
+    ema_beta: float = 0.95              # dbs_adam only, as are the six below
+    alpha_mix: float = 0.5
+    clip_k: float = 5.0
+    d_min: float = 0.1
+    d_max: float = 1.0
+    norm_epsilon: float = 1e-8
+    warmup_batches: int = 10
 
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
         # written so that NaN fails every check
-        for name in ("base_lr", "epsilon", "adabound_final_lr", "adabound_gamma"):
+        for name in ("base_lr", "epsilon", "adabound_final_lr", "adabound_gamma", "clip_k"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if not (0.0 < self.d_min <= self.d_max):
+            raise ValueError(f"need 0 < d_min <= d_max, got [{self.d_min}, {self.d_max}]")
+        if not (0.0 <= self.alpha_mix <= 1.0):
+            raise ValueError(f"alpha_mix must lie in [0, 1], got {self.alpha_mix}")
+        if not self.norm_epsilon > 0.0:
+            raise ValueError(f"norm_epsilon must be positive, got {self.norm_epsilon}")
+        if not (0.0 <= self.ema_beta < 1.0):
+            raise ValueError(f"ema_beta must lie in [0, 1), got {self.ema_beta}")
+        if self.warmup_batches < 0:
+            raise ValueError(f"warmup_batches must be >= 0, got {self.warmup_batches}")
 
 
 # Elements per block of the moment pass: 32K float64 = 256 KiB, so the
@@ -52,12 +69,15 @@ _BLOCK_ELEMENTS = 32 * 1024
 
 
 class OptimizerState:
-    """Per-parameter moment buffers and the step counter.
+    """Per-parameter moment buffers, the step counter and dbs_adam's
+    difficulty statistics.
 
     v_max is allocated lazily on the first amsgrad step and holds the running
     elementwise maximum of the bias-corrected second moment. scratch holds
     the two block-sized buffers the moment pass computes m_hat and v_hat in;
-    its length fixes the pass's block size.
+    its length fixes the pass's block size. mu_g, sigma_g, mu_l, sigma_l and
+    batches_seen are zero until observe_batch, the only thing that advances
+    them.
     """
 
     def __init__(self, params: Params):
@@ -66,11 +86,14 @@ class OptimizerState:
         self.v_max: Params | None = None
         self.t: int = 0
         self.scratch = (np.empty(_BLOCK_ELEMENTS), np.empty(_BLOCK_ELEMENTS))
+        self.mu_g = self.sigma_g = self.mu_l = self.sigma_l = 0.0
+        self.batches_seen = 0
 
 
 def _check_shapes(params: Params, grads: Params) -> float:
-    """Validate grads against params and return the squared L2 norm of the
-    whole gradient, summed tensor by tensor in grads order.
+    """Validate grads against params (matching keys and shapes, C-contiguous
+    floating-point parameters, finite gradients) and return the squared L2
+    norm of the whole gradient, summed tensor by tensor in grads order.
 
     A NaN or inf entry makes its tensor's squared norm non-finite, so the
     elementwise search for the bad index runs only then; a finite tensor
@@ -89,6 +112,8 @@ def _check_shapes(params: Params, grads: Params) -> float:
             )
         if not params[k].flags.c_contiguous:
             raise ValueError(f"parameter {k!r} must be C-contiguous to be updated in place")
+        if not np.issubdtype(params[k].dtype, np.floating):
+            raise ValueError(f"parameter {k!r} must be floating-point, got dtype {params[k].dtype}")
         flat = g.reshape(-1)
         sq = float(np.dot(flat, flat))
         if not math.isfinite(sq) and not np.all(np.isfinite(g)):
@@ -208,120 +233,80 @@ def adabound_step(params: Params, grads: Params, state: OptimizerState, config: 
         p -= rate
 
 
-@dataclass
-class DifficultyTracker:
-    """Running EMA statistics that turn raw batch signals into a difficulty score.
+def difficulty(state: OptimizerState, config: OptimizerConfig, grad_norm: float,
+               batch_loss: float) -> float:
+    """Score a batch against the current statistics without updating them.
 
-    A batch is scored from two signals, the gradient norm G and the batch
-    loss L. Each is z-scored against EMA running statistics, clipped to
-    [-clip_k, clip_k], rescaled into [0, 1], and the two are mixed with
-    weight alpha_mix on the gradient side. The mix is finally clipped to
-    [d_min, d_max]. The running "deviation" is an EMA of absolute deviation
-    from the running mean, updated after the mean (mean first, then
-    deviation and z-score against the fresh mean).
-
-    The first warmup_batches observations return the neutral midpoint while
-    statistics accumulate; z-scores against a near-zero deviation would be
-    meaningless.
+    Each signal, the gradient norm G and the batch loss L, is z-scored
+    against its running statistics, clipped to [-clip_k, clip_k] and rescaled
+    into [0, 1]; the two are mixed with weight alpha_mix on the gradient side
+    and the mix is clipped to [d_min, d_max].
     """
+    k = config.clip_k
 
-    ema_beta: float = 0.95
-    alpha_mix: float = 0.5
-    clip_k: float = 5.0
-    d_min: float = 0.1
-    d_max: float = 1.0
-    norm_epsilon: float = 1e-8
-    warmup_batches: int = 10
-    # running statistics: zero until observe_batch, the only thing that advances them
-    mu_g: float = field(default=0.0, init=False)
-    sigma_g: float = field(default=0.0, init=False)
-    mu_l: float = field(default=0.0, init=False)
-    sigma_l: float = field(default=0.0, init=False)
-    batches_seen: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        if not (0.0 < self.d_min <= self.d_max):
-            raise ValueError(f"need 0 < d_min <= d_max, got [{self.d_min}, {self.d_max}]")
-        if not (0.0 <= self.alpha_mix <= 1.0):
-            raise ValueError(f"alpha_mix must lie in [0, 1], got {self.alpha_mix}")
-        if not 0.0 < self.clip_k < math.inf:
-            raise ValueError(f"clip_k must be positive and finite, got {self.clip_k}")
-        if not self.norm_epsilon > 0.0:
-            raise ValueError(f"norm_epsilon must be positive, got {self.norm_epsilon}")
-        if not (0.0 <= self.ema_beta < 1.0):
-            raise ValueError(f"ema_beta must lie in [0, 1), got {self.ema_beta}")
-        if self.warmup_batches < 0:
-            raise ValueError(f"warmup_batches must be >= 0, got {self.warmup_batches}")
-
-    def difficulty(self, grad_norm: float, batch_loss: float) -> float:
-        """Score a batch against the current statistics without updating them."""
-        g_hat = self._rescale((grad_norm - self.mu_g) / (self.sigma_g + self.norm_epsilon))
-        l_hat = self._rescale((batch_loss - self.mu_l) / (self.sigma_l + self.norm_epsilon))
-        # written as l + a*(g - l) rather than a*g + (1-a)*l so equal inputs
-        # produce that exact value for any alpha
-        mixed = l_hat + self.alpha_mix * (g_hat - l_hat)
-        return float(np.clip(mixed, self.d_min, self.d_max))
-
-    def _rescale(self, z: float) -> float:
-        k = self.clip_k
+    def rescale(z: float) -> float:
         return (float(np.clip(z, -k, k)) + k) / (2.0 * k)
 
-    def neutral(self) -> float:
-        return float(np.clip(0.5, self.d_min, self.d_max))
+    g_hat = rescale((grad_norm - state.mu_g) / (state.sigma_g + config.norm_epsilon))
+    l_hat = rescale((batch_loss - state.mu_l) / (state.sigma_l + config.norm_epsilon))
+    # written as l + a*(g - l) rather than a*g + (1-a)*l so equal inputs
+    # produce that exact value for any alpha
+    mixed = l_hat + config.alpha_mix * (g_hat - l_hat)
+    return float(np.clip(mixed, config.d_min, config.d_max))
 
 
-def observe_batch(tracker: DifficultyTracker, grad_norm: float, batch_loss: float) -> float:
-    """Fold one batch into the tracker and return its clipped difficulty.
+def observe_batch(state: OptimizerState, config: OptimizerConfig, grad_norm: float,
+                  batch_loss: float) -> float:
+    """Fold one batch into the difficulty statistics and return its clipped
+    difficulty.
 
-    Update order per step: mean EMA first, then deviation EMA against the
-    freshly updated mean, then the z-score. Statistics start at the first
-    observation (mean = value, deviation = 0). Warm-up batches still update
-    statistics but score as the neutral midpoint. A non-finite signal, or one
-    so far from the running mean (beyond ~1e308) that a statistic would
-    overflow, raises ValueError and leaves the tracker unchanged.
+    The running "deviation" is an EMA of absolute deviation from the running
+    mean. Update order per step: mean EMA first, then deviation EMA against
+    the freshly updated mean, then the z-score. Statistics start at the first
+    observation (mean = value, deviation = 0). The first warmup_batches
+    batches still update statistics but score as the neutral midpoint, since
+    z-scores against a near-zero deviation would be meaningless. A non-finite
+    signal, or one so far from the running mean (beyond ~1e308) that a
+    statistic would overflow, raises ValueError and leaves the state
+    unchanged.
     """
     if not (math.isfinite(grad_norm) and grad_norm >= 0):
         raise ValueError(f"gradient norm must be finite and >= 0, got {grad_norm}")
     if not np.isfinite(batch_loss):
         raise ValueError(f"batch loss must be finite, got {batch_loss}")
 
-    one_minus_beta = 1.0 - tracker.ema_beta
-    if tracker.batches_seen == 0:
+    one_minus_beta = 1.0 - config.ema_beta
+    if state.batches_seen == 0:
         stats = (float(grad_norm), 0.0, float(batch_loss), 0.0)
     else:
         # incremental form mu += (1-beta)(x - mu): exact no-op when x == mu
-        mu_g = tracker.mu_g + one_minus_beta * (grad_norm - tracker.mu_g)
-        sigma_g = tracker.sigma_g + one_minus_beta * (abs(grad_norm - mu_g) - tracker.sigma_g)
-        mu_l = tracker.mu_l + one_minus_beta * (batch_loss - tracker.mu_l)
-        sigma_l = tracker.sigma_l + one_minus_beta * (abs(batch_loss - mu_l) - tracker.sigma_l)
+        mu_g = state.mu_g + one_minus_beta * (grad_norm - state.mu_g)
+        sigma_g = state.sigma_g + one_minus_beta * (abs(grad_norm - mu_g) - state.sigma_g)
+        mu_l = state.mu_l + one_minus_beta * (batch_loss - state.mu_l)
+        sigma_l = state.sigma_l + one_minus_beta * (abs(batch_loss - mu_l) - state.sigma_l)
         stats = (mu_g, sigma_g, mu_l, sigma_l)
     if not all(map(math.isfinite, stats)):
         raise ValueError(
             f"batch signals (gradient norm {grad_norm}, loss {batch_loss}) overflow the "
-            f"running statistics (means {tracker.mu_g}, {tracker.mu_l})"
+            f"running statistics (means {state.mu_g}, {state.mu_l})"
         )
-    tracker.mu_g, tracker.sigma_g, tracker.mu_l, tracker.sigma_l = stats
-    tracker.batches_seen += 1
+    state.mu_g, state.sigma_g, state.mu_l, state.sigma_l = stats
+    state.batches_seen += 1
 
-    if tracker.batches_seen <= tracker.warmup_batches:
-        return tracker.neutral()
-    return tracker.difficulty(grad_norm, batch_loss)
+    if state.batches_seen <= config.warmup_batches:
+        return float(np.clip(0.5, config.d_min, config.d_max))
+    return difficulty(state, config, grad_norm, batch_loss)
 
 
 def dbs_adam_step(
-    params: Params,
-    grads: Params,
-    state: OptimizerState,
-    config: OptimizerConfig,
-    tracker: DifficultyTracker,
-    batch_loss: float,
+    params: Params, grads: Params, state: OptimizerState, config: OptimizerConfig, batch_loss: float
 ) -> float:
     """Difficulty-scaled Adam step; returns the learning rate actually used.
 
     batch_loss must be the mean loss of the same batch that produced grads.
     """
     grad_norm = math.sqrt(_check_shapes(params, grads))
-    lr = config.base_lr * observe_batch(tracker, grad_norm, batch_loss)
+    lr = config.base_lr * observe_batch(state, config, grad_norm, batch_loss)
     _adam_update(params, grads, state, config, lr)
     return lr
 

@@ -9,7 +9,10 @@ bits on purpose rewrites the file and names the entries that moved.
 The digests cover train() on a reduced desk config (every RunResult field
 but wall_clock), the smote_enn and adasyn resampled arrays, and the three
 files of a 2 x 2 compare and of a one-seed 2 x 1 sweep, with the timing
-fields zeroed. Float results are only reproducible on the same Python,
+fields zeroed. The CSV path has its own entries: each protocol config
+(configs/experiment1-4.cfg) run on a generated 600-row CSV in the Addis
+schema for 2 epochs, with the prepare_training arrays and one train() run
+digested. Float results are only reproducible on the same Python,
 NumPy, BLAS and SIMD set, so the file also stores that fingerprint.
 """
 
@@ -22,9 +25,13 @@ import os
 import platform
 import sys
 import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 
+from addis_csv import write_addis_like_csv
+from dbsadam.data import FeatureSchema
 from dbsadam.harness import (
     compare_optimizers,
     emit_report,
@@ -51,6 +58,8 @@ TRAIN_CASES = {
     **{f"resampler={name}": {"resampler": name} for name in ("none", "smote_enn", "adasyn")},
     **{f"sequence_chunks={t}": {"sequence_chunks": str(t)} for t in (1, 3)},
 }
+
+PROTOCOLS = ("experiment1", "experiment2", "experiment3", "experiment4")
 
 
 def environment() -> dict[str, str]:
@@ -104,6 +113,26 @@ def _report_digests(name: str, report) -> dict[str, str]:
     return digests
 
 
+def _protocol_digests() -> dict[str, str]:
+    """The protocol configs on a generated Addis-schema CSV, cut to 2 epochs."""
+    schema_file = os.path.join(ROOT, "configs", "addis_schema.txt")
+    schema = FeatureSchema.from_file(schema_file)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # test rows hold a few categories the fit rows lack; the encoder says so
+        warnings.filterwarnings("ignore", "column .* unseen at fit time", UserWarning)
+        dataset = write_addis_like_csv(Path(tmp) / "addis.csv", schema, 600, vocab=4, seed=1,
+                                       nul_label=False)
+        for name in PROTOCOLS:
+            config = load_config(os.path.join(ROOT, "configs", f"{name}.cfg"), {
+                "dataset": dataset, "schema_file": schema_file, "max_epochs": "2", "patience": "2"})
+            sets = prepare_training(config, _SEED)
+            out[f"csv/{name}/prepare_training"] = _array_digest(
+                *(a for ds in sets for a in (ds.features, ds.labels)))
+            out[f"csv/{name}/train"] = _run_digest(train(config, _SEED))
+    return out
+
+
 def digests() -> dict[str, str]:
     """Every golden entry, recomputed in this tree."""
     out = {f"train/{name}": _run_digest(train(_config(**case), _SEED))
@@ -115,6 +144,7 @@ def digests() -> dict[str, str]:
         "compare", compare_optimizers(_config(optimizers="adam, dbs_adam", seeds="42, 123"))))
     out.update(_report_digests(
         "sweep", sensitivity_sweep(_config(beta_grid="0.9, 0.95", alpha_grid="0.5", sweep_seeds="1"))))
+    out.update(_protocol_digests())
     return out
 
 

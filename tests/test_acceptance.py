@@ -21,11 +21,11 @@ from dbsadam.losses import LossConfig, loss_gradient, loss_value, one_hot, softm
 from dbsadam.models import SequenceNetwork, network_backward, network_forward
 from dbsadam.numerics import SeededRng, finite_difference_gradient
 from dbsadam.optimizers import (
-    DifficultyTracker,
     OptimizerConfig,
     OptimizerState,
     adam_step,
     dbs_adam_step,
+    difficulty,
     observe_batch,
 )
 from dbsadam.resampling import enn_filter, smote_enn, smote_generate
@@ -85,13 +85,12 @@ def test_criterion_2_dbs_reduction_to_adam():
             p_dbs = {"w": start.copy()}
             p_adam = {"w": start.copy()}
             s_dbs, s_adam = OptimizerState(p_dbs), OptimizerState(p_adam)
-            tracker = DifficultyTracker(d_min=c, d_max=c)
-            cfg = OptimizerConfig(base_lr=0.001)
+            cfg = OptimizerConfig(base_lr=0.001, d_min=c, d_max=c)
             cfg_scaled = OptimizerConfig(base_lr=0.001 * c)
             for _ in range(50):
                 g = {"w": curvature * (p_dbs["w"] - target)}
                 loss = float(0.5 * np.sum(curvature * (p_dbs["w"] - target) ** 2))
-                dbs_adam_step(p_dbs, g, s_dbs, cfg, tracker, loss)
+                dbs_adam_step(p_dbs, g, s_dbs, cfg, loss)
                 g2 = {"w": curvature * (p_adam["w"] - target)}
                 adam_step(p_adam, g2, s_adam, cfg_scaled)
                 assert np.all(np.abs(p_dbs["w"] - p_adam["w"]) < 1e-12)
@@ -101,28 +100,28 @@ def test_criterion_2_dbs_reduction_to_adam():
 def test_criterion_3_difficulty_invariants():
     with criterion(3, "difficulty clipping, midpoint exactness, monotone response"):
         started = time.perf_counter()
-        tracker = DifficultyTracker(d_min=0.1, d_max=1.0)
+        state, config = OptimizerState({}), OptimizerConfig(d_min=0.1, d_max=1.0)
         rng = SeededRng(33)
         for _ in range(10_000):
             g = float(abs(rng.normal()) * 10.0 ** float(rng.integers(-3, 4)))
             loss = float(rng.normal() * 10.0 ** float(rng.integers(-3, 4)))
-            d = observe_batch(tracker, g, loss)
+            d = observe_batch(state, config, g, loss)
             assert 0.1 <= d <= 1.0
 
         for alpha in (0.0, 0.3, 0.5, 0.7, 1.0):
-            t2 = DifficultyTracker(alpha_mix=alpha)
+            s2, c2 = OptimizerState({}), OptimizerConfig(alpha_mix=alpha)
             warm = SeededRng(44)
-            for _ in range(t2.warmup_batches + 3):
-                observe_batch(t2, float(abs(warm.normal(loc=2.0))), float(warm.normal(loc=1.0)))
-            assert observe_batch(t2, t2.mu_g, t2.mu_l) == 0.5
+            for _ in range(c2.warmup_batches + 3):
+                observe_batch(s2, c2, float(abs(warm.normal(loc=2.0))), float(warm.normal(loc=1.0)))
+            assert observe_batch(s2, c2, s2.mu_g, s2.mu_l) == 0.5
 
         # frozen statistics: raising either signal never lowers the score
         for _ in range(1000):
             g = float(abs(rng.normal(loc=2.0)))
             loss = float(rng.normal(loc=1.0))
             bump = float(abs(rng.normal()))
-            assert tracker.difficulty(g + bump, loss) >= tracker.difficulty(g, loss)
-            assert tracker.difficulty(g, loss + bump) >= tracker.difficulty(g, loss)
+            assert difficulty(state, config, g + bump, loss) >= difficulty(state, config, g, loss)
+            assert difficulty(state, config, g, loss + bump) >= difficulty(state, config, g, loss)
         assert time.perf_counter() - started < 5.0
 
 

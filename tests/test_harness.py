@@ -24,7 +24,7 @@ from dbsadam.harness import (
     train,
 )
 from dbsadam.losses import default_class_weights
-from dbsadam.optimizers import DifficultyTracker, OptimizerConfig
+from dbsadam.optimizers import OptimizerConfig
 
 
 def tiny_config(**overrides):
@@ -62,9 +62,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="resampler"):
             replace(config, resampler="bogus")
 
-    @pytest.mark.parametrize("cls", [OptimizerConfig, DifficultyTracker])
-    def test_shared_fields_default_to_the_component_defaults(self, cls):
-        assert _from_shared_fields(cls, ExperimentConfig()) == cls()
+    def test_every_optimizer_setting_is_a_key_with_an_equal_default(self):
+        defaults = ExperimentConfig()
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for f in dataclasses.fields(OptimizerConfig):
+            assert f.name in keys, f.name
+            assert getattr(defaults, f.name) == f.default, f.name
+        assert _from_shared_fields(defaults) == OptimizerConfig()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -118,6 +122,37 @@ class TestConfigValidation:
     def test_invalid_rejected(self, overrides):
         # the message names the offending key, so a bad focal_alpha says
         # focal_alpha and not the loss's internal weight
+        with pytest.raises(ConfigError, match=re.escape(next(iter(overrides)))):
+            ExperimentConfig(**overrides)
+
+
+class TestConfigFieldTypes:
+    def test_a_list_is_stored_as_a_tuple_and_the_config_hashes(self):
+        config = ExperimentConfig(seeds=[1, 2], beta_grid=[0.9])
+        assert config.seeds == (1, 2) and config.beta_grid == (0.9,)
+        assert hash(config) == hash(ExperimentConfig(seeds=(1, 2), beta_grid=(0.9,)))
+
+    def test_a_float_field_stores_a_float(self):
+        config = ExperimentConfig(base_lr=1, synthetic_priors=(1, 2))
+        assert type(config.base_lr) is float and config.base_lr == 1.0
+        assert [type(p) for p in config.synthetic_priors] == [float, float]
+
+    def test_an_int_field_takes_any_integer_and_stores_an_int(self):
+        config = ExperimentConfig(data_seed=np.int64(5), seeds=(np.int32(1), 2))
+        assert type(config.data_seed) is int and config.data_seed == 5
+        assert [type(s) for s in config.seeds] == [int, int]
+
+    @pytest.mark.parametrize("overrides", [
+        {"batch_size": 2.5},
+        {"max_epochs": True, "patience": 0},
+        {"base_lr": True},
+        {"base_lr": "0.1"},
+        {"seeds": (1, 2.0)},
+        {"drop_labels": "Unknown"},
+        {"optimizers": "adam"},
+        {"output_dir": 5},
+    ])
+    def test_a_value_of_the_wrong_type_is_rejected(self, overrides):
         with pytest.raises(ConfigError, match=re.escape(next(iter(overrides)))):
             ExperimentConfig(**overrides)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dbsadam.numerics import SeededRng
 from dbsadam.optimizers import (
-    DifficultyTracker,
     OptimizerConfig,
     OptimizerState,
     adabound_bounds,
@@ -17,6 +16,7 @@ from dbsadam.optimizers import (
     amsgrad_step,
     _check_shapes,
     dbs_adam_step,
+    difficulty,
     observe_batch,
 )
 
@@ -75,22 +75,35 @@ class TestAdam:
         grads = {"w": np.array([[0.0, 0.0], [np.nan, 0.0]])}
         with pytest.raises(ValueError, match=r"'w' at index \(1, 0\)"):
             adam_step(params, grads, OptimizerState(params), OptimizerConfig())
-        # dbs_adam checks once, before the tracker or any moment buffer moves;
-        # "a" precedes the bad tensor, so a partial update would show there
+        # dbs_adam checks once, before the statistics or any moment buffer
+        # move; "a" precedes the bad tensor, so a partial update would show there
         params = {"a": np.ones(3), "w": np.zeros((2, 2))}
         state = OptimizerState(params)
-        tracker = DifficultyTracker()
         good = {"a": np.full(3, 0.5), "w": np.full((2, 2), 0.5)}
-        dbs_adam_step(params, good, state, OptimizerConfig(), tracker, 1.0)
-        before = (tracker.batches_seen, state.t,
+        dbs_adam_step(params, good, state, OptimizerConfig(), 1.0)
+        before = (state.batches_seen, state.t,
                   {k: v.copy() for k, v in state.m.items()},
                   {k: v.copy() for k, v in state.v.items()})
         with pytest.raises(ValueError, match=r"'w' at index \(1, 0\)"):
-            dbs_adam_step(params, {"a": np.ones(3), **grads}, state, OptimizerConfig(), tracker, 1.0)
-        assert (tracker.batches_seen, state.t) == before[:2]
+            dbs_adam_step(params, {"a": np.ones(3), **grads}, state, OptimizerConfig(), 1.0)
+        assert (state.batches_seen, state.t) == before[:2]
         for k in params:
             assert np.array_equal(state.m[k], before[2][k])
             assert np.array_equal(state.v[k], before[3][k])
+
+    def test_integer_parameter_rejected_before_any_state_changes(self):
+        # an in-place float update of an integer array fails in NumPy only
+        # after the step counter and the statistics have moved
+        params = {"w": np.array([1, 2])}
+        grads = {"w": np.array([0.5, 0.5])}
+        state = OptimizerState(params)
+        for step in (adam_step, amsgrad_step, adamw_step, adabound_step):
+            with pytest.raises(ValueError, match="parameter 'w' must be floating-point"):
+                step(params, grads, state, OptimizerConfig())
+        with pytest.raises(ValueError, match="parameter 'w' must be floating-point"):
+            dbs_adam_step(params, grads, state, OptimizerConfig(), 1.0)
+        assert state.t == 0 and statistics(state) == (0.0, 0.0, 0.0, 0.0, 0)
+        assert np.array_equal(params["w"], [1, 2])
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.zeros(3)}
@@ -211,64 +224,77 @@ class TestAdabound:
         assert np.array_equal(params["w"], [0.5])
 
 
-def warmed_tracker(**kwargs) -> DifficultyTracker:
-    tracker = DifficultyTracker(**kwargs)
+STATISTICS = ("mu_g", "sigma_g", "mu_l", "sigma_l", "batches_seen")
+
+
+def statistics(state: OptimizerState) -> tuple:
+    return tuple(getattr(state, name) for name in STATISTICS)
+
+
+def warmed(**settings) -> tuple[OptimizerState, OptimizerConfig]:
+    config = OptimizerConfig(**settings)
+    state = OptimizerState({})
     rng = SeededRng(31)
-    for _ in range(tracker.warmup_batches + 5):
-        observe_batch(tracker, float(abs(rng.normal(loc=2.0))), float(abs(rng.normal(loc=1.0))))
-    return tracker
+    for _ in range(config.warmup_batches + 5):
+        observe_batch(state, config, float(abs(rng.normal(loc=2.0))), float(abs(rng.normal(loc=1.0))))
+    return state, config
 
 
 class TestDifficultyTracker:
+    """observe_batch and difficulty: the statistics live on OptimizerState,
+    the settings on OptimizerConfig."""
+
     def test_inputs_at_the_mean_give_exact_midpoint(self):
         for alpha in (0.0, 0.123, 0.3, 0.5, 0.7, 1.0):
-            tracker = warmed_tracker(alpha_mix=alpha)
-            d = observe_batch(tracker, tracker.mu_g, tracker.mu_l)
+            state, config = warmed(alpha_mix=alpha)
+            d = observe_batch(state, config, state.mu_g, state.mu_l)
             assert d == 0.5
 
     def test_saturation_high_on_both_signals(self):
-        tracker = warmed_tracker()
-        d = observe_batch(tracker, tracker.mu_g + 1e9, tracker.mu_l + 1e9)
-        assert d == tracker.d_max
+        state, config = warmed()
+        d = observe_batch(state, config, state.mu_g + 1e9, state.mu_l + 1e9)
+        assert d == config.d_max
 
     def test_saturation_low_with_gradient_only_mix(self):
-        tracker = warmed_tracker(alpha_mix=1.0)
+        state, config = warmed(alpha_mix=1.0)
         # a gradient norm far below its mean clips the z-score at -K
-        d = tracker.difficulty(0.0, tracker.mu_l)
-        assert d == tracker.d_min
+        d = difficulty(state, config, 0.0, state.mu_l)
+        assert d == config.d_min
 
     def test_warmup_returns_neutral_while_accumulating(self):
-        tracker = DifficultyTracker(warmup_batches=4)
+        config = OptimizerConfig(warmup_batches=4)
+        state = OptimizerState({})
+        neutral = float(np.clip(0.5, config.d_min, config.d_max))
         for i in range(4):
-            d = observe_batch(tracker, 1.0 + i, 2.0 + i)
-            assert d == tracker.neutral()
-        assert tracker.mu_g != 0.0
-        d = observe_batch(tracker, 50.0, 50.0)
-        assert d != tracker.neutral() or d == tracker.d_max
+            d = observe_batch(state, config, 1.0 + i, 2.0 + i)
+            assert d == neutral
+        assert state.mu_g != 0.0
+        d = observe_batch(state, config, 50.0, 50.0)
+        assert d != neutral or d == config.d_max
 
     def test_negative_grad_norm_rejected(self):
         with pytest.raises(ValueError):
-            observe_batch(DifficultyTracker(), -1.0, 0.0)
+            observe_batch(OptimizerState({}), OptimizerConfig(), -1.0, 0.0)
 
     def test_nonfinite_loss_rejected(self):
         with pytest.raises(ValueError):
-            observe_batch(DifficultyTracker(), 1.0, float("nan"))
+            observe_batch(OptimizerState({}), OptimizerConfig(), 1.0, float("nan"))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_grad_norm_rejected_before_any_update(self, bad):
-        tracker = warmed_tracker()
-        before = dataclasses.asdict(tracker)
+        state, config = warmed()
+        before = statistics(state)
         with pytest.raises(ValueError, match="gradient norm must be finite"):
-            observe_batch(tracker, bad, 1.0)
-        assert dataclasses.asdict(tracker) == before
+            observe_batch(state, config, bad, 1.0)
+        assert statistics(state) == before
 
     def test_overflowing_statistics_rejected_before_any_update(self):
-        tracker = DifficultyTracker()
-        observe_batch(tracker, 1.0, 1.7e308)
-        before = dataclasses.asdict(tracker)
+        state, config = OptimizerState({}), OptimizerConfig()
+        observe_batch(state, config, 1.0, 1.7e308)
+        before = statistics(state)
         with pytest.raises(ValueError, match="overflow"):
-            observe_batch(tracker, 1.0, -1.7e308)
-        assert dataclasses.asdict(tracker) == before
+            observe_batch(state, config, 1.0, -1.7e308)
+        assert statistics(state) == before
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -289,44 +315,45 @@ class TestDifficultyTracker:
         # any finite stream: every difficulty lies in [d_min, d_max]; a batch
         # is rejected only when its distance from a mean overflows, i.e. near
         # the float maximum, and the rejection changes nothing
-        tracker = DifficultyTracker(ema_beta=ema_beta, alpha_mix=alpha_mix, clip_k=clip_k,
-                                    norm_epsilon=norm_epsilon, d_min=bounds[0], d_max=bounds[1],
-                                    warmup_batches=warmup)
+        config = OptimizerConfig(ema_beta=ema_beta, alpha_mix=alpha_mix, clip_k=clip_k,
+                                 norm_epsilon=norm_epsilon, d_min=bounds[0], d_max=bounds[1],
+                                 warmup_batches=warmup)
+        state = OptimizerState({})
         for grad_norm, loss in stream:
-            before = dataclasses.asdict(tracker)
+            before = statistics(state)
             try:
-                d = observe_batch(tracker, grad_norm, loss)
+                d = observe_batch(state, config, grad_norm, loss)
             except ValueError:
-                assert dataclasses.asdict(tracker) == before
-                assert max(abs(grad_norm), abs(loss), abs(tracker.mu_g), abs(tracker.mu_l)) > 8e307
+                assert statistics(state) == before
+                assert max(abs(grad_norm), abs(loss), abs(state.mu_g), abs(state.mu_l)) > 8e307
                 continue
             assert bounds[0] <= d <= bounds[1]
 
     def test_output_always_clipped_and_sigmas_nonnegative(self):
-        tracker = DifficultyTracker(d_min=0.2, d_max=0.8)
+        state, config = OptimizerState({}), OptimizerConfig(d_min=0.2, d_max=0.8)
         rng = SeededRng(13)
         for _ in range(2000):
             g = float(abs(rng.normal()) * 10.0 ** float(rng.integers(-3, 4)))
             loss = float(rng.normal() * 10.0 ** float(rng.integers(-3, 4)))
-            d = observe_batch(tracker, g, loss)
+            d = observe_batch(state, config, g, loss)
             assert 0.2 <= d <= 0.8
-            assert tracker.sigma_g >= 0 and tracker.sigma_l >= 0
+            assert state.sigma_g >= 0 and state.sigma_l >= 0
 
     def test_monotone_response_with_frozen_statistics(self):
-        tracker = warmed_tracker()
+        state, config = warmed()
         rng = SeededRng(14)
         for _ in range(300):
             g = float(abs(rng.normal(loc=2.0)))
             loss = float(rng.normal(loc=1.0))
             step = float(abs(rng.normal()))
-            assert tracker.difficulty(g + step, loss) >= tracker.difficulty(g, loss)
-            assert tracker.difficulty(g, loss + step) >= tracker.difficulty(g, loss)
+            assert difficulty(state, config, g + step, loss) >= difficulty(state, config, g, loss)
+            assert difficulty(state, config, g, loss + step) >= difficulty(state, config, g, loss)
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
-            DifficultyTracker(d_min=0.0)
+            OptimizerConfig(d_min=0.0)
         with pytest.raises(ValueError):
-            DifficultyTracker(d_min=0.9, d_max=0.5)
+            OptimizerConfig(d_min=0.9, d_max=0.5)
 
     @pytest.mark.parametrize("field", [
         {"clip_k": np.inf}, {"clip_k": np.nan}, {"norm_epsilon": 0.0}, {"norm_epsilon": np.nan},
@@ -334,19 +361,34 @@ class TestDifficultyTracker:
     def test_invalid_scales_rejected(self, field):
         # clip_k = inf rescales to inf / inf and norm_epsilon = 0 divides 0 by 0
         with pytest.raises(ValueError):
-            DifficultyTracker(**field)
+            OptimizerConfig(**field)
 
-    @pytest.mark.parametrize("name", ["mu_g", "sigma_g", "mu_l", "sigma_l", "batches_seen"])
+    @pytest.mark.parametrize("name", STATISTICS)
     def test_running_statistics_are_not_constructor_options(self, name):
         with pytest.raises(TypeError):
-            DifficultyTracker(**{name: 1.0})
+            OptimizerConfig(**{name: 1.0})
 
-    def test_replace_starts_the_statistics_at_zero(self):
-        tracker = DifficultyTracker()
-        observe_batch(tracker, 2.0, 3.0)
-        fresh = dataclasses.replace(tracker, ema_beta=0.9)
-        assert (fresh.ema_beta, fresh.mu_g, fresh.sigma_g, fresh.mu_l, fresh.sigma_l,
-                fresh.batches_seen) == (0.9, 0.0, 0.0, 0.0, 0.0, 0)
+    def test_statistics_start_at_zero_on_the_state(self):
+        state = OptimizerState({"w": np.zeros(2)})
+        assert statistics(state) == (0.0, 0.0, 0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"d_min": 0.0}, r"need 0 < d_min <= d_max, got \[0.0, 1.0\]"),
+        ({"alpha_mix": 1.5}, r"alpha_mix must lie in \[0, 1\], got 1.5"),
+        ({"clip_k": -1.0}, "clip_k must be positive and finite, got -1.0"),
+        ({"norm_epsilon": 0.0}, "norm_epsilon must be positive, got 0.0"),
+        ({"ema_beta": 1.0}, r"ema_beta must lie in \[0, 1\), got 1.0"),
+        ({"warmup_batches": -1}, "warmup_batches must be >= 0, got -1"),
+    ])
+    def test_each_moved_setting_is_checked_by_optimizer_config(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizerConfig(**settings)
+
+    def test_settings_cannot_be_assigned(self):
+        config = OptimizerConfig(d_max=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.d_min = 2.0
+        assert config.d_min == 0.1
 
 
 class TestGradientSignal:
@@ -354,9 +396,9 @@ class TestGradientSignal:
         # the first observation seeds the running mean with the signal itself
         params = {"a": np.zeros(1), "b": np.zeros(1)}
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        tracker = DifficultyTracker()
-        dbs_adam_step(params, grads, OptimizerState(params), OptimizerConfig(), tracker, 1.0)
-        assert tracker.mu_g == 5.0
+        state = OptimizerState(params)
+        dbs_adam_step(params, grads, state, OptimizerConfig(), 1.0)
+        assert state.mu_g == 5.0
 
 
 def quadratic_gradients(params, target, curvature):
@@ -380,9 +422,8 @@ class TestZeroGradientInvariant:
             assert np.array_equal(params["w"], start), name
         params = {"w": start.copy()}
         state = OptimizerState(params)
-        tracker = DifficultyTracker()
         for _ in range(3):
-            dbs_adam_step(params, dict(zero), state, config, tracker, 0.0)
+            dbs_adam_step(params, dict(zero), state, config, 0.0)
         assert np.array_equal(params["w"], start), "dbs_adam"
 
 
@@ -396,13 +437,12 @@ class TestDbsAdam:
             p_dbs = {"w": start.copy()}
             p_adam = {"w": start.copy()}
             s_dbs, s_adam = OptimizerState(p_dbs), OptimizerState(p_adam)
-            config = OptimizerConfig(base_lr=0.001)
+            config = OptimizerConfig(base_lr=0.001, d_min=c, d_max=c)  # clip pins D to c
             scaled = OptimizerConfig(base_lr=0.001 * c)
-            tracker = DifficultyTracker(d_min=c, d_max=c)  # clip pins D to c
             for _ in range(50):
                 g_dbs = quadratic_gradients(p_dbs, target, curvature)
                 loss = float(sum(np.sum(v**2) for v in g_dbs.values()))
-                lr = dbs_adam_step(p_dbs, g_dbs, s_dbs, config, tracker, loss)
+                lr = dbs_adam_step(p_dbs, g_dbs, s_dbs, config, loss)
                 assert lr == pytest.approx(0.001 * c, abs=1e-18)
                 g_adam = quadratic_gradients(p_adam, target, curvature)
                 adam_step(p_adam, g_adam, s_adam, scaled)
@@ -411,20 +451,19 @@ class TestDbsAdam:
     def test_warmup_uses_neutral_rate(self):
         params = {"w": np.array([1.0])}
         state = OptimizerState(params)
-        tracker = DifficultyTracker(d_min=0.1, d_max=1.0)
-        lr = dbs_adam_step(params, {"w": np.array([0.5])}, state, OptimizerConfig(), tracker, 1.0)
+        config = OptimizerConfig(d_min=0.1, d_max=1.0)
+        lr = dbs_adam_step(params, {"w": np.array([0.5])}, state, config, 1.0)
         assert lr == pytest.approx(0.001 * 0.5)
 
     def test_rate_never_leaves_band(self):
         rng = SeededRng(16)
         params = {"w": rng.normal(size=4)}
         state = OptimizerState(params)
-        config = OptimizerConfig(base_lr=0.01)
-        tracker = DifficultyTracker(d_min=0.2, d_max=0.9)
+        config = OptimizerConfig(base_lr=0.01, d_min=0.2, d_max=0.9)
         for _ in range(500):
             g = {"w": rng.normal(size=4) * 10.0 ** float(rng.integers(-2, 3))}
             loss = float(abs(rng.normal()))
-            lr = dbs_adam_step(params, g, state, config, tracker, loss)
+            lr = dbs_adam_step(params, g, state, config, loss)
             assert 0.01 * 0.2 <= lr <= 0.01 * 0.9
 
 
@@ -462,7 +501,7 @@ class TestBlockedMomentPass:
 
         if block is not None:
             monkeypatch.setattr(optimizers, "_BLOCK_ELEMENTS", block)
-        config = OptimizerConfig(base_lr=0.01)
+        config = OptimizerConfig(base_lr=0.01, warmup_batches=2)
         for name in ("adam", "amsgrad", "adamw", "adabound", "dbs_adam"):
             rng = SeededRng(31)
             params = make(SHAPES, seed=32)
@@ -472,14 +511,13 @@ class TestBlockedMomentPass:
             ref = {"t": 0, "m": {k: np.zeros(s) for k, s in SHAPES.items()},
                    "v": {k: np.zeros(s) for k, s in SHAPES.items()},
                    "v_max": {k: np.zeros(s) for k, s in SHAPES.items()}}
-            tracker = DifficultyTracker(warmup_batches=2)
             for step in range(8):
                 # per-element scales from 1e-3 to 1e3 make v_hat fall for some
                 # elements, so amsgrad's v_max holds old maxima in every block
                 grads = {k: rng.normal(size=s) * 10.0 ** rng.uniform(-3, 3, size=s)
                          for k, s in SHAPES.items()}
                 if name == "dbs_adam":
-                    lr = dbs_adam_step(params, grads, state, config, tracker, 1.0 + step)
+                    lr = dbs_adam_step(params, grads, state, config, 1.0 + step)
                 else:
                     optimizers.OPTIMIZER_STEPS[name](params, grads, state, config)
                     lr = config.base_lr
@@ -506,10 +544,9 @@ class TestFoldedFiniteCheck:
         monkeypatch.setattr(optimizers, "_BLOCK_ELEMENTS", 4)
         params = {"a": np.ones(3), "w": np.zeros((3, 5))}  # w: blocks 4+4+4+3
         state = OptimizerState(params)
-        tracker = DifficultyTracker()
         good = {"a": np.full(3, 0.5), "w": np.full((3, 5), 0.5)}
-        dbs_adam_step(params, good, state, OptimizerConfig(), tracker, 1.0)
-        before = (tracker.batches_seen, state.t,
+        dbs_adam_step(params, good, state, OptimizerConfig(), 1.0)
+        before = (state.batches_seen, state.t,
                   {k: v.copy() for k, v in state.m.items()},
                   {k: v.copy() for k, v in state.v.items()},
                   {k: v.copy() for k, v in params.items()})
@@ -519,8 +556,8 @@ class TestFoldedFiniteCheck:
             with pytest.raises(ValueError, match=r"'w' at index \(2, 4\)"):
                 step(params, grads, state, OptimizerConfig())
         with pytest.raises(ValueError, match=r"'w' at index \(2, 4\)"):
-            dbs_adam_step(params, grads, state, OptimizerConfig(), tracker, 1.0)
-        assert (tracker.batches_seen, state.t) == before[:2]
+            dbs_adam_step(params, grads, state, OptimizerConfig(), 1.0)
+        assert (state.batches_seen, state.t) == before[:2]
         assert state.v_max is None or all(np.all(v == 0) for v in state.v_max.values())
         for k in params:
             assert np.array_equal(state.m[k], before[2][k])
