@@ -14,7 +14,6 @@ import csv
 import itertools
 import json
 import math
-import numbers
 import os
 import time
 import typing
@@ -43,14 +42,14 @@ from .evaluation import (
 )
 from .losses import (
     LossConfig,
+    _loss_and_gradient,
     default_class_weights,
-    loss_gradient,
     loss_per_sample,
     one_hot,
     softmax,
 )
 from .models import SequenceNetwork, network_backward, network_forward
-from .numerics import SeededRng
+from .numerics import SeededRng, _set_typed_fields
 from .optimizers import (
     OPTIMIZER_NAMES,
     OPTIMIZER_STEPS,
@@ -73,20 +72,6 @@ _STREAM_DROPOUT = 5
 
 class ConfigError(ValueError):
     """Invalid configuration or config file; exits with code 1 at the CLI."""
-
-
-def _typed(key: str, value, target):
-    """value as a field of type target: an int field takes an integer, a float
-    field any real number, stored as a float (neither takes a bool), and a
-    tuple field a list or tuple of its element type, stored as a tuple."""
-    if typing.get_origin(target) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list or tuple, got {value!r}")
-        return tuple(_typed(key, v, typing.get_args(target)[0]) for v in value)
-    kind = {int: numbers.Integral, float: numbers.Real}.get(target, target)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{key} must be {target.__name__}, got {value!r}")
-    return target(value)
 
 
 @dataclass(frozen=True)
@@ -151,8 +136,10 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        for key, target in _KEY_TYPES.items():
-            object.__setattr__(self, key, _typed(key, getattr(self, key), target))
+        try:
+            _set_typed_fields(self, _KEY_TYPES)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not (0 <= self.patience <= self.max_epochs):
             raise ConfigError(
                 f"patience must lie in [0, max_epochs={self.max_epochs}], got {self.patience}"
@@ -417,7 +404,9 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
         dropout_rate=config.dropout_rate,
         rng=root.child(_STREAM_INIT),
     )
-    params = net.params(x_train.shape[1])
+    # the optimizer streams the few contiguous runs of the trained weights
+    steps = x_train.shape[1]
+    params = net.segments(steps)
     state = OptimizerState(params)
     opt_config = _from_shared_fields(config)
     is_dbs = config.optimizer == "dbs_adam"
@@ -443,14 +432,16 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
             try:
                 xb, yb = x_train[batch], y_train[batch]
                 logits, cache = network_forward(net, xb, mode="train", rng=dropout_rng)
-                per = loss_per_sample(loss_config, softmax(logits), yb)
+                per, d_logits = _loss_and_gradient(loss_config, logits, yb)
                 batch_loss = float(per.mean())
-                grads = network_backward(net, cache, loss_gradient(loss_config, logits, yb))
+                grads = net.segments(steps, network_backward(net, cache, d_logits))
                 if is_dbs:
                     lr = dbs_adam_step(params, grads, state, opt_config, batch_loss)
                     lr_trace.append(lr)
                 else:
                     OPTIMIZER_STEPS[config.optimizer](params, grads, state, opt_config)
+                # one gradient vector alive at a time: the next step's is new
+                del grads
             except Exception as exc:
                 raise RuntimeError(
                     f"run aborted (seed={seed}, epoch={epoch}, batch={batch_no}): {exc}"

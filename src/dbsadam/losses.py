@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _set_typed_fields
+
 # Probabilities are floored here before every log so a confident wrong
 # prediction yields a large but finite loss.
 PROB_FLOOR = 1e-12
@@ -35,6 +37,7 @@ class LossConfig:
     gamma: float = 0.0
 
     def __post_init__(self):
+        _set_typed_fields(self, {"gamma": float})
         w = np.asarray(self.weight, dtype=np.float64)
         if w.ndim > 1 or not np.all((w > 0) & np.isfinite(w)):
             raise ValueError(f"weight must be a strictly positive and finite scalar or vector, "
@@ -88,12 +91,15 @@ def _focal_terms(config: LossConfig, scores: np.ndarray, labels: np.ndarray):
     return scores, labels, labels @ w
 
 
+def _per_sample(w_t: np.ndarray, p_t: np.ndarray, gamma: float) -> np.ndarray:
+    return -w_t * (1.0 - p_t) ** gamma * np.log(np.maximum(p_t, PROB_FLOOR))
+
+
 def loss_per_sample(config: LossConfig, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample loss values -w_t (1 - p_t)^gamma log p_t under the
     configured loss; labels must be one-hot."""
     probs, labels, w_t = _focal_terms(config, probs, labels)
-    p_t = np.sum(probs * labels, axis=1)
-    return -w_t * (1.0 - p_t) ** config.gamma * np.log(np.maximum(p_t, PROB_FLOOR))
+    return _per_sample(w_t, np.sum(probs * labels, axis=1), config.gamma)
 
 
 def loss_value(config: LossConfig, probs: np.ndarray, labels: np.ndarray) -> float:
@@ -110,14 +116,23 @@ def loss_gradient(config: LossConfig, logits: np.ndarray, labels: np.ndarray) ->
     At gamma = 0 each row is w_t (softmax(z) - y) / N. For gamma > 0 the
     row is the focal chain rule dl/dp_t * p_t * (y - softmax(z)) / N.
     """
+    return _loss_and_gradient(config, logits, labels)[1]
+
+
+def _loss_and_gradient(config: LossConfig, logits: np.ndarray,
+                       labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """loss_per_sample(config, softmax(logits), labels) and
+    loss_gradient(config, logits, labels) from one softmax and one check of
+    the inputs, with the same operations, so the same bits."""
     logits, labels, w_t = _focal_terms(config, logits, labels)
     gamma = config.gamma
     n = logits.shape[0]
     probs = softmax(logits)
-    if gamma == 0.0:
-        return w_t[:, None] * (probs - labels) / n
-
     p_t = np.sum(probs * labels, axis=1)
+    per_sample = _per_sample(w_t, p_t, gamma)
+    if gamma == 0.0:
+        return per_sample, w_t[:, None] * (probs - labels) / n
+
     p_t_f = np.maximum(p_t, PROB_FLOOR)
     u = 1.0 - p_t
     # u^(gamma-1) -> 0 as p_t -> 1 for gamma > 0 (log p_t vanishes faster),
@@ -125,4 +140,4 @@ def loss_gradient(config: LossConfig, logits: np.ndarray, labels: np.ndarray) ->
     u_pow_gm1 = np.where(u > 0.0, np.where(u > 0.0, u, 1.0) ** (gamma - 1.0), 0.0)
     dl_dpt = w_t * (gamma * u_pow_gm1 * np.log(p_t_f) - (u**gamma) / p_t_f)
     grad = dl_dpt[:, None] * p_t[:, None] * (labels - probs)
-    return grad / n
+    return per_sample, grad / n

@@ -1,11 +1,15 @@
-"""Dense float64 arithmetic, seeded RNG, and a finite-difference gradient oracle.
+"""Dense float64 arithmetic, seeded RNG, a finite-difference gradient oracle,
+and the field type check of the frozen configs.
 
-Everything downstream (losses, optimizers, models) builds on these few
-primitives. All arrays are 64-bit floats; matrices are 2-D row-major
+Everything downstream (losses, optimizers, models, harness) builds on these
+few primitives. All arrays are 64-bit floats; matrices are 2-D row-major
 ndarrays, vectors are 1-D.
 """
 
 from __future__ import annotations
+
+import numbers
+import typing
 
 import numpy as np
 
@@ -61,6 +65,10 @@ class SeededRng:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)
 
+    def random(self, size=None):
+        """Uniform draws on [0, 1): the bits and stream of uniform(0.0, 1.0)."""
+        return self._gen.random(size)
+
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
         return self._gen.normal(loc, scale, size)
 
@@ -72,3 +80,25 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, path={self._path})"
+
+
+def _typed(key: str, value, target):
+    """value as a field of type target: an int field takes an integer, a float
+    field any real number, stored as a float (neither takes a bool), and a
+    tuple field a list or tuple of its element type, stored as a tuple.
+    Anything else raises ValueError naming the field key."""
+    if typing.get_origin(target) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list or tuple, got {value!r}")
+        return tuple(_typed(key, v, typing.get_args(target)[0]) for v in value)
+    kind = {int: numbers.Integral, float: numbers.Real}.get(target, target)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{key} must be {target.__name__}, got {value!r}")
+    return target(value)
+
+
+def _set_typed_fields(config, types: dict) -> None:
+    """Store each field of the frozen dataclass config named in types (field
+    -> type) as a value of that type; see _typed."""
+    for key, target in types.items():
+        object.__setattr__(config, key, _typed(key, getattr(config, key), target))

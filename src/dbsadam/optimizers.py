@@ -10,10 +10,13 @@ model finds hard get larger steps, easy ones smaller.
 from __future__ import annotations
 
 import math
+import typing
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import _set_typed_fields
 
 Params = dict[str, np.ndarray]
 
@@ -23,7 +26,8 @@ class OptimizerConfig:
     """Shared hyperparameters for the Adam family and the difficulty scaler.
 
     epsilon sits outside the square root, as in Kingma & Ba's Algorithm 1:
-    the denominator is sqrt(v_hat) + eps.
+    the denominator is sqrt(v_hat) + eps. Frozen, and checked when built:
+    each field is stored as its annotated type, or ValueError names it.
     """
 
     base_lr: float = 0.001
@@ -42,6 +46,7 @@ class OptimizerConfig:
     warmup_batches: int = 10
 
     def __post_init__(self):
+        _set_typed_fields(self, _FIELD_TYPES)
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
         # written so that NaN fails every check
@@ -60,6 +65,9 @@ class OptimizerConfig:
             raise ValueError(f"ema_beta must lie in [0, 1), got {self.ema_beta}")
         if self.warmup_batches < 0:
             raise ValueError(f"warmup_batches must be >= 0, got {self.warmup_batches}")
+
+
+_FIELD_TYPES = typing.get_type_hints(OptimizerConfig)
 
 
 # Elements per block of the moment pass: 32K float64 = 256 KiB, so the
@@ -112,7 +120,7 @@ def _check_shapes(params: Params, grads: Params) -> float:
             )
         if not params[k].flags.c_contiguous:
             raise ValueError(f"parameter {k!r} must be C-contiguous to be updated in place")
-        if not np.issubdtype(params[k].dtype, np.floating):
+        if params[k].dtype.kind != "f":
             raise ValueError(f"parameter {k!r} must be floating-point, got dtype {params[k].dtype}")
         flat = g.reshape(-1)
         sq = float(np.dot(flat, flat))
@@ -245,14 +253,14 @@ def difficulty(state: OptimizerState, config: OptimizerConfig, grad_norm: float,
     k = config.clip_k
 
     def rescale(z: float) -> float:
-        return (float(np.clip(z, -k, k)) + k) / (2.0 * k)
+        return (min(max(z, -k), k) + k) / (2.0 * k)
 
     g_hat = rescale((grad_norm - state.mu_g) / (state.sigma_g + config.norm_epsilon))
     l_hat = rescale((batch_loss - state.mu_l) / (state.sigma_l + config.norm_epsilon))
     # written as l + a*(g - l) rather than a*g + (1-a)*l so equal inputs
     # produce that exact value for any alpha
     mixed = l_hat + config.alpha_mix * (g_hat - l_hat)
-    return float(np.clip(mixed, config.d_min, config.d_max))
+    return float(min(max(mixed, config.d_min), config.d_max))
 
 
 def observe_batch(state: OptimizerState, config: OptimizerConfig, grad_norm: float,
@@ -272,7 +280,7 @@ def observe_batch(state: OptimizerState, config: OptimizerConfig, grad_norm: flo
     """
     if not (math.isfinite(grad_norm) and grad_norm >= 0):
         raise ValueError(f"gradient norm must be finite and >= 0, got {grad_norm}")
-    if not np.isfinite(batch_loss):
+    if not math.isfinite(batch_loss):
         raise ValueError(f"batch loss must be finite, got {batch_loss}")
 
     one_minus_beta = 1.0 - config.ema_beta
@@ -294,7 +302,7 @@ def observe_batch(state: OptimizerState, config: OptimizerConfig, grad_norm: flo
     state.batches_seen += 1
 
     if state.batches_seen <= config.warmup_batches:
-        return float(np.clip(0.5, config.d_min, config.d_max))
+        return float(min(max(0.5, config.d_min), config.d_max))
     return difficulty(state, config, grad_norm, batch_loss)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dbsadam.losses import (
     PROB_FLOOR,
     LossConfig,
+    _loss_and_gradient,
     default_class_weights,
     loss_gradient,
     loss_per_sample,
@@ -107,6 +108,14 @@ class TestLossConfig:
     def test_holds_only_weight_and_gamma(self):
         assert [f.name for f in dataclasses.fields(LossConfig)] == ["weight", "gamma"]
         assert (LossConfig().weight, LossConfig().gamma) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("gamma", [True, "2"])
+    def test_a_gamma_of_the_wrong_type_is_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be float"):
+            LossConfig(gamma=gamma)
+
+    def test_an_integer_gamma_is_stored_as_a_float(self):
+        assert type(LossConfig(gamma=2).gamma) is float
 
     def test_assignment_cannot_skip_the_checks(self):
         config = LossConfig(weight=0.25, gamma=2.0)
@@ -305,3 +314,14 @@ class TestFocalFormMatchesReference:
             assert np.array_equal(
                 loss_gradient(config, logits, labels), reference_gradient(kind, config, logits, labels)
             ), kind
+
+
+class TestLossAndGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(case=loss_case())
+    def test_one_softmax_gives_the_bits_of_the_two_public_calls(self, case):
+        logits, labels, configs = case
+        for kind, config in configs.items():
+            per_sample, grad = _loss_and_gradient(config, logits, labels)
+            assert np.array_equal(per_sample, loss_per_sample(config, softmax(logits), labels)), kind
+            assert np.array_equal(grad, reference_gradient(kind, config, logits, labels)), kind

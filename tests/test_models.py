@@ -16,6 +16,7 @@ from dbsadam.models import (
 )
 from dbsadam.numerics import SeededRng, finite_difference_gradient
 from flat_params import embed_gradients, flatten_arrays, unflatten_arrays
+import reference_network
 
 
 def zero_cell(hidden, inputs):
@@ -429,6 +430,126 @@ class TestNetworkBackward:
         _, cache = network_forward(net, SeededRng(64).normal(size=(2, 4, 3)))
         with pytest.raises(ValueError, match="cached batch"):
             network_backward(net, cache, np.zeros((5, 3)))
+
+
+class TestStackedNetwork:
+    # the stacked layer 1, the fused passes and the arena change no bit of
+    # the per-direction network they replaced
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_bit_equal_to_the_per_direction_network(self, steps, mode, dropout):
+        for shape in (dict(input_size=6, hidden1=16, hidden2=8, dense_units=8), {}):
+            net = tiny_network(29, dropout=dropout, **shape)
+            xs = SeededRng(80).normal(size=(32, steps, net.input_size))
+            logits, cache = network_forward(net, xs, mode=mode, rng=SeededRng(6))
+            ref_logits, ref_cache = reference_network.network_forward(net, xs, mode=mode, rng=SeededRng(6))
+            assert np.array_equal(logits, ref_logits)
+            d_logits = SeededRng(81).normal(size=logits.shape)
+            grads = network_backward(net, cache, d_logits)
+            ref_grads = reference_network.network_backward(net, ref_cache, d_logits)
+            assert list(grads) == list(ref_grads)
+            for k in grads:
+                assert grads[k].shape == ref_grads[k].shape and np.array_equal(grads[k], ref_grads[k]), k
+
+    def test_every_tensor_is_a_view_of_the_arena(self):
+        net = tiny_network(30)
+        for steps in (None, 1, 2, 3):
+            for k, v in net.params(steps).items():
+                assert np.shares_memory(v, net.arena) and v.flags.c_contiguous, (steps, k)
+        assert net.arena.size == sum(v.size for v in net.params().values())
+        assert np.shares_memory(net.l1f.W_x, net.l1.W_x[0]) and np.shares_memory(net.l1b.b, net.l1.b[1])
+
+    def test_two_backward_results_do_not_alias(self):
+        net = tiny_network(31)
+        xs = SeededRng(82).normal(size=(4, 2, 3))
+        logits, cache = network_forward(net, xs)
+        first = network_backward(net, cache, np.ones_like(logits))
+        kept = {k: v.copy() for k, v in first.items()}
+        second = network_backward(net, cache, -np.ones_like(logits))
+        for k in first:
+            assert not np.shares_memory(first[k], second[k]), k
+            assert np.array_equal(first[k], kept[k]) and np.array_equal(second[k], -kept[k]), k
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_segments_cover_exactly_the_trained_coordinates(self, steps):
+        net = tiny_network(32)
+        xs = SeededRng(83).normal(size=(4, steps, 3))
+        logits, cache = network_forward(net, xs)
+        grads = network_backward(net, cache, np.ones_like(logits))
+        params, segments = net.params(steps), net.segments(steps)
+        if steps > 1:
+            assert len(segments) == 2
+        assert sum(v.size for v in segments.values()) == sum(v.size for v in params.values())
+        marked = np.zeros(net.arena.size, dtype=bool)
+        for v in params.values():
+            marked[_arena_indices(net, v)] = True
+        covered = np.zeros(net.arena.size, dtype=bool)
+        for v in segments.values():
+            covered[_arena_indices(net, v)] = True
+        assert np.array_equal(marked, covered)
+        for name, g in net.segments(steps, grads).items():
+            # the segment of the gradient vector holds the gradient tensors
+            assert np.shares_memory(g, grads["head.b"].base) and g.shape == segments[name].shape
+        # the gradient vector stops at the last trained coordinate
+        flat = grads["head.b"].base
+        assert flat.size == np.flatnonzero(covered)[-1] + 1 and np.all(flat[~covered[: flat.size]] == 0.0)
+        with pytest.raises(ValueError, match="network_backward"):
+            net.segments(steps, {k: v.copy() for k, v in grads.items()})
+
+    @pytest.mark.parametrize("name", ["adam", "amsgrad", "adamw", "adabound"])
+    def test_stepping_segments_equals_stepping_tensors(self, name):
+        from dbsadam.optimizers import OPTIMIZER_STEPS, OptimizerConfig, OptimizerState
+
+        step = OPTIMIZER_STEPS[name]
+        for steps in (1, 2, 3):
+            by_tensor, by_segment = tiny_network(33, dropout=0.3), tiny_network(33, dropout=0.3)
+            params, segments = by_tensor.params(steps), by_segment.segments(steps)
+            states = OptimizerState(params), OptimizerState(segments)
+            for batch in range(4):
+                xs = SeededRng(84 + batch).normal(size=(4, steps, 3))
+                labels = one_hot(SeededRng(90 + batch).integers(0, 3, size=4), 3)
+                for net, state, stepped in ((by_tensor, states[0], params), (by_segment, states[1], segments)):
+                    logits, cache = network_forward(net, xs, mode="train", rng=SeededRng(batch))
+                    grads = network_backward(net, cache, loss_gradient(LossConfig(), logits, labels))
+                    step(stepped, grads if stepped is params else net.segments(steps, grads), state,
+                         OptimizerConfig(base_lr=0.01))
+            assert np.array_equal(by_tensor.arena, by_segment.arena), (name, steps)
+
+    def test_dbs_adam_on_segments_differs_only_by_the_norm_summation_order(self):
+        from dbsadam.optimizers import OptimizerConfig, OptimizerState, dbs_adam_step
+
+        config = OptimizerConfig(base_lr=0.01, warmup_batches=1)
+        for exact in (True, False):
+            by_tensor, by_segment = tiny_network(34), tiny_network(34)
+            params, segments = by_tensor.params(2), by_segment.segments(2)
+            states = OptimizerState(params), OptimizerState(segments)
+            for batch in range(6):
+                # eighths of small integers square and sum exactly in any
+                # order; normal draws do not
+                draw = SeededRng(95 + batch)
+                grads = network_backward(by_tensor, *_zero_pass(by_tensor))
+                flat = grads["head.b"].base
+                flat[...] = draw.integers(-8, 9, size=flat.size) / 8.0 if exact else draw.normal(size=flat.size)
+                lrs = (dbs_adam_step(params, grads, states[0], config, 1.0 + batch),
+                       dbs_adam_step(segments, by_segment.segments(2, grads), states[1], config, 1.0 + batch))
+                assert lrs[0] == pytest.approx(lrs[1], rel=1e-14, abs=0.0)
+                if exact:
+                    assert lrs[0] == lrs[1]
+            if exact:
+                assert np.array_equal(by_tensor.arena, by_segment.arena)
+            else:
+                assert np.allclose(by_tensor.arena, by_segment.arena, rtol=1e-12, atol=0.0)
+
+
+def _arena_indices(net, view):
+    start = (view.__array_interface__["data"][0] - net.arena.__array_interface__["data"][0]) // 8
+    return np.arange(start, start + view.size)
+
+
+def _zero_pass(net):
+    logits, cache = network_forward(net, np.zeros((1, 2, net.input_size)))
+    return cache, np.zeros_like(logits)
 
 
 class TestInitialization:

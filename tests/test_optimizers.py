@@ -105,6 +105,21 @@ class TestAdam:
         assert state.t == 0 and statistics(state) == (0.0, 0.0, 0.0, 0.0, 0)
         assert np.array_equal(params["w"], [1, 2])
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_every_floating_point_parameter_is_stepped(self, dtype):
+        params = {"w": np.ones(3, dtype=dtype)}
+        state = OptimizerState(params)
+        adam_step(params, {"w": np.full(3, 0.5)}, state, OptimizerConfig(base_lr=0.25))
+        assert state.t == 1 and params["w"].dtype == dtype and np.all(params["w"] < 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.bool_, np.complex128, object])
+    def test_a_parameter_that_is_not_floating_point_is_rejected_before_t_moves(self, dtype):
+        params = {"w": np.ones(3, dtype=dtype)}
+        state = OptimizerState(params)
+        with pytest.raises(ValueError, match="parameter 'w' must be floating-point"):
+            adam_step(params, {"w": np.full(3, 0.5)}, state, OptimizerConfig())
+        assert state.t == 0
+
     def test_shape_mismatch_rejected(self):
         params = {"w": np.zeros(3)}
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -383,6 +398,19 @@ class TestDifficultyTracker:
     def test_each_moved_setting_is_checked_by_optimizer_config(self, settings, message):
         with pytest.raises(ValueError, match=message):
             OptimizerConfig(**settings)
+
+    @pytest.mark.parametrize("settings", [
+        {"warmup_batches": 2.5}, {"warmup_batches": True}, {"base_lr": True}, {"base_lr": "0.1"},
+    ])
+    def test_a_setting_of_the_wrong_type_is_rejected_by_name(self, settings):
+        name = next(iter(settings))
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            OptimizerConfig(**settings)
+
+    def test_a_float_setting_given_an_integer_stores_a_float(self):
+        config = OptimizerConfig(beta1=0, warmup_batches=np.int64(3))
+        assert type(config.beta1) is float and config.beta1 == 0.0
+        assert type(config.warmup_batches) is int and config.warmup_batches == 3
 
     def test_settings_cannot_be_assigned(self):
         config = OptimizerConfig(d_max=1.0)
