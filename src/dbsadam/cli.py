@@ -60,13 +60,19 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(args.config, overrides)
 
 
+_PARALLEL_HELP = (
+    "; each seed's data is prepared once, and the runs train in one process per CPU"
+    " when BLAS is pinned to one thread (OPENBLAS_NUM_THREADS=1), with the same results"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dbsadam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, desc in (
         ("train", "single training run (uses the first configured seed)"),
-        ("compare", "multi-seed comparison across the configured optimizers"),
-        ("sweep", "EMA-decay x mix-weight sensitivity grid"),
+        ("compare", "multi-seed comparison across the configured optimizers" + _PARALLEL_HELP),
+        ("sweep", "EMA-decay x mix-weight sensitivity grid" + _PARALLEL_HELP),
         ("resample", "apply the configured resampler to the training split and inspect counts"),
     ):
         p = sub.add_parser(name, help=desc)

@@ -5,6 +5,15 @@ carve, resampling, weight initialization, batch order, and dropout masks each
 draw from their own substream of the run seed. The split substream depends on
 the seed alone, so every optimizer in a comparison sees identical splits —
 the pairing assumption behind the seed-paired t-tests.
+
+compare_optimizers and sensitivity_sweep prepare each seed's data once, in
+the calling process, and train their (config, seed) runs from it. On Linux
+they train in a pool of forked worker processes, one per CPU that BLAS
+leaves free: cpus // (the first positive OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS; all cpus when none is set). With BLAS
+at its default of one thread per CPU that is one process, and the runs are
+trained in order in the calling process. Every run is a pure function of
+(config, seed), so the results are the same either way.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -377,14 +387,30 @@ def _evaluate(net, xs, labels_1h, loss_config, batch_size) -> tuple[float, np.nd
     return total / n, per_sample, preds
 
 
-def train(config: ExperimentConfig, seed: int) -> RunResult:
-    """One full training run: split, resample, fit with early stopping,
-    restore the best-validation weights, evaluate on the untouched test set."""
-    started = time.perf_counter()
+def _fit_sets(config: ExperimentConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
+    """The (training, validation, test) sets a run fits and scores: those of
+    prepare_training after resampling; a set left with 0 rows is an error."""
     _, train_ds, val_ds, test_ds = prepare_training(config, seed)
     for name, ds in (("training", train_ds), ("validation", val_ds), ("test", test_ds)):
         if ds.n_samples == 0:
             raise ValueError(f"the {name} split has 0 rows; it needs more data or a larger fraction")
+    return train_ds, val_ds, test_ds
+
+
+def train(config: ExperimentConfig, seed: int) -> RunResult:
+    """One full training run: split, resample, fit with early stopping,
+    restore the best-validation weights, evaluate on the untouched test set."""
+    started = time.perf_counter()
+    sets = _fit_sets(config, seed)
+    return _fit(config, seed, sets, time.perf_counter() - started)
+
+
+def _fit(config: ExperimentConfig, seed: int,
+         sets: tuple[LabeledDataset, LabeledDataset, LabeledDataset], prepare_s: float) -> RunResult:
+    """Fit one run on its prepared sets and score it; its wall_clock is
+    prepare_s, the time the sets took, plus the fit's own time."""
+    started = time.perf_counter()
+    train_ds, val_ds, test_ds = sets
     root = SeededRng(seed)
 
     n_classes = train_ds.n_classes
@@ -481,21 +507,84 @@ def train(config: ExperimentConfig, seed: int) -> RunResult:
         metrics=metrics,
         lr_trace=lr_trace if is_dbs else None,
         lr_summary=summary,
-        wall_clock=time.perf_counter() - started,
+        wall_clock=prepare_s + time.perf_counter() - started,
     )
 
 
-def _run_seeds(report: ComparisonReport, config: ExperimentConfig,
-               tag: str = "") -> tuple[list[RunResult], dict[str, tuple[float, float | None]]]:
-    """Train config on each of its seeds in order, append the runs to report,
-    and return them with their aggregated metrics."""
-    runs = []
-    for seed in config.seeds:
-        run = train(config, seed)
-        run.tag = tag
-        runs.append(run)
-    report.runs.extend(runs)
-    return runs, aggregate_runs([r.metrics for r in runs])
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _worker_count(jobs: int) -> int:
+    """Processes to train `jobs` runs in: one per CPU that BLAS leaves free.
+
+    Each process runs as many BLAS threads as the first positive value of
+    _BLAS_THREAD_VARS, and one per CPU when none holds one. More processes
+    than cpus // threads contend for the cores: at paper shape on 2 CPUs, 2
+    workers with 2-thread BLAS ran 2-4x slower than one process. The pool
+    forks, so platforms other than Linux get one process.
+    """
+    if jobs < 2 or not sys.platform.startswith("linux"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    threads = cpus
+    for var in _BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            threads = value
+            break
+    return max(1, min(jobs, cpus // threads))
+
+
+# set in each worker process by _init_worker: the configs and prepared sets of its pool
+_worker_jobs: tuple[list[ExperimentConfig], dict] | None = None
+
+
+def _init_worker(configs: list[ExperimentConfig], prepared: dict) -> None:
+    global _worker_jobs
+    _worker_jobs = (configs, prepared)
+
+
+def _fit_job(index: int, seed: int) -> RunResult:
+    configs, prepared = _worker_jobs
+    return _fit(configs[index], seed, *prepared[seed])
+
+
+def _train_runs(configs: list[ExperimentConfig], seeds: tuple[int, ...]) -> list[list[RunResult]]:
+    """Train every config on every seed; returns each config's runs in seed
+    order.
+
+    The configs differ only in what the fit reads, so each seed's sets are
+    prepared once, from configs[0], in this process: every resample runs
+    here, and each run's wall_clock counts its seed's preparation. The fits
+    run in a pool of _worker_count forked processes, which inherit the sets
+    without pickling, or in order here when that is one. The first failing
+    run in job order aborts the call, and no worker outlives it.
+    """
+    prepared = {}
+    for seed in seeds:
+        started = time.perf_counter()
+        prepared[seed] = (_fit_sets(configs[0], seed), time.perf_counter() - started)
+    jobs = [(index, seed) for index in range(len(configs)) for seed in seeds]
+    workers = _worker_count(len(jobs))
+    if workers == 1:
+        runs = [_fit(configs[index], seed, *prepared[seed]) for index, seed in jobs]
+    else:
+        # imported here: about 22 ms that train() and the single-process path never need
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_init_worker, initargs=(configs, prepared))
+        try:
+            futures = [executor.submit(_fit_job, index, seed) for index, seed in jobs]
+            runs = [future.result() for future in futures]
+        finally:
+            # drop the jobs not yet started and wait for every worker to exit
+            executor.shutdown(cancel_futures=True)
+    return [runs[i : i + len(seeds)] for i in range(0, len(runs), len(seeds))]
 
 
 def compare_optimizers(
@@ -514,10 +603,11 @@ def compare_optimizers(
     if len(config.seeds) < 2:
         raise ConfigError("comparison needs at least 2 seeds")
 
-    report = ComparisonReport()
-    by_name: dict[str, list[RunResult]] = {}
-    for name in config.optimizers:
-        by_name[name], report.aggregates[name] = _run_seeds(report, replace(config, optimizer=name))
+    by_name = dict(zip(config.optimizers, _train_runs(
+        [replace(config, optimizer=name) for name in config.optimizers], config.seeds)))
+    report = ComparisonReport(runs=[run for runs in by_name.values() for run in runs])
+    for name, named_runs in by_name.items():
+        report.aggregates[name] = aggregate_runs([r.metrics for r in named_runs])
 
     for a, b in itertools.combinations(config.optimizers, 2):
         for metric in METRIC_KEYS:
@@ -542,10 +632,14 @@ def sensitivity_sweep(config: ExperimentConfig) -> ComparisonReport:
         raise ConfigError("sweep grids must be non-empty")
     seeds = config.seeds[: config.sweep_seeds]
 
-    report = ComparisonReport()
-    for beta, alpha in itertools.product(config.beta_grid, config.alpha_grid):
-        cell_cfg = replace(config, optimizer="dbs_adam", ema_beta=beta, alpha_mix=alpha, seeds=seeds)
-        _, metrics = _run_seeds(report, cell_cfg, tag=f"beta={beta:g},alpha={alpha:g}")
+    cells = list(itertools.product(config.beta_grid, config.alpha_grid))
+    cell_runs = _train_runs([replace(config, optimizer="dbs_adam", ema_beta=beta, alpha_mix=alpha, seeds=seeds)
+                             for beta, alpha in cells], seeds)
+    report = ComparisonReport(runs=[run for runs in cell_runs for run in runs])
+    for (beta, alpha), runs in zip(cells, cell_runs):
+        for run in runs:
+            run.tag = f"beta={beta:g},alpha={alpha:g}"
+        metrics = aggregate_runs([r.metrics for r in runs])
         report.sweep.append({"beta": beta, "alpha": alpha, "seeds": list(seeds),
                              "metrics": {k: list(v) for k, v in metrics.items()}})
     return report

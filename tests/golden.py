@@ -133,6 +133,15 @@ def _protocol_digests() -> dict[str, str]:
     return out
 
 
+def report_digests() -> dict[str, str]:
+    """The compare and sweep entries."""
+    out = _report_digests(
+        "compare", compare_optimizers(_config(optimizers="adam, dbs_adam", seeds="42, 123")))
+    out.update(_report_digests(
+        "sweep", sensitivity_sweep(_config(beta_grid="0.9, 0.95", alpha_grid="0.5", sweep_seeds="1"))))
+    return out
+
+
 def digests() -> dict[str, str]:
     """Every golden entry, recomputed in this tree."""
     out = {f"train/{name}": _run_digest(train(_config(**case), _SEED))
@@ -140,10 +149,7 @@ def digests() -> dict[str, str]:
     for resampler in ("smote_enn", "adasyn"):
         _, resampled, _, _ = prepare_training(_config(resampler=resampler), _SEED)
         out[f"resampled/{resampler}"] = _array_digest(resampled.features, resampled.labels)
-    out.update(_report_digests(
-        "compare", compare_optimizers(_config(optimizers="adam, dbs_adam", seeds="42, 123"))))
-    out.update(_report_digests(
-        "sweep", sensitivity_sweep(_config(beta_grid="0.9, 0.95", alpha_grid="0.5", sweep_seeds="1"))))
+    out.update(report_digests())
     out.update(_protocol_digests())
     return out
 

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from dataclasses import fields
 
 import numpy as np
@@ -208,6 +209,23 @@ class TestCompareCommand:
         assert len(payload["runs"]) == 4
         assert len(payload["significance"]) == 5
         assert (out / "lr_trace.csv").read_text().count("\n") > 1  # dbs traces present
+
+    def test_failed_run_in_a_worker_exits_2(self, config_file, tmp_path, monkeypatch, capsys):
+        from dbsadam import harness
+
+        def boom(*args, **kwargs):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: 2)
+        monkeypatch.setattr(harness, "dbs_adam_step", boom)
+        code = main([
+            "compare", "--config", config_file,
+            "--optimizers", "adam,dbs_adam", "--seeds", "1,2", "--out", str(tmp_path / "cmp"),
+        ])
+        assert code == 2
+        assert "run aborted (seed=1, epoch=1, batch=0): injected failure" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestSweepCommand:

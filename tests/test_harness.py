@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import re
+import signal
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -469,8 +473,11 @@ class TestSweep:
     def test_invalid_grid_value_rejected_before_any_training(self, monkeypatch):
         import dbsadam.harness as harness
 
-        calls = []
-        monkeypatch.setattr(harness, "train", lambda *args: calls.append(args))
+        # a sweep starts its runs by preparing each seed's data
+        def run_started(*args):
+            raise AssertionError("a run started before the grids were checked")
+
+        monkeypatch.setattr(harness, "prepare_training", run_started)
         for grids in [
             dict(beta_grid=(0.9, 1.5), alpha_grid=(0.5,)),
             dict(beta_grid=(0.9,), alpha_grid=(0.5, 1.2)),
@@ -478,7 +485,108 @@ class TestSweep:
         ]:
             with pytest.raises(ConfigError, match="grid"):
                 sensitivity_sweep(tiny_config(**grids))
-        assert calls == []
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "env, jobs, platform, expected",
+        [
+            ({}, 10, "linux", 1),  # BLAS at its default: one thread per CPU
+            ({"OPENBLAS_NUM_THREADS": "1"}, 10, "linux", 2),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 10, "linux", 1),
+            ({"OPENBLAS_NUM_THREADS": "4"}, 10, "linux", 1),
+            ({"OMP_NUM_THREADS": "1"}, 10, "linux", 2),
+            ({"MKL_NUM_THREADS": "1"}, 10, "linux", 2),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 10, "linux", 1),
+            *(({"OPENBLAS_NUM_THREADS": bad}, 10, "linux", 1) for bad in ("0", "", "abc", "-1")),
+            *(({"OPENBLAS_NUM_THREADS": bad, "OMP_NUM_THREADS": "1"}, 10, "linux", 2)
+              for bad in ("0", "", "abc", "-1")),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 1, "linux", 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 10, "darwin", 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 10, "win32", 1),
+        ],
+    )
+    def test_one_worker_per_cpu_that_blas_leaves_free(self, monkeypatch, env, jobs, platform, expected):
+        import dbsadam.harness as harness
+
+        for var in harness._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sys, "platform", platform)
+        assert harness._worker_count(jobs) == expected
+
+
+class TestWorkerPool:
+    """compare and sweep through a forced pool of two worker processes."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        import dbsadam.harness as harness
+
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: 2)
+
+    def test_first_failing_run_raises_its_error(self, monkeypatch):
+        import dbsadam.harness as harness
+
+        def boom(*args, **kwargs):
+            raise ValueError("injected failure")
+
+        # only the dbs_adam runs fail; the first of them in job order is seed 2's
+        monkeypatch.setattr(harness, "dbs_adam_step", boom)
+        cfg = tiny_config(optimizers=("adam", "dbs_adam"))
+        with pytest.raises(RuntimeError) as info:
+            compare_optimizers(cfg, seeds=(2, 1))
+        assert str(info.value) == "run aborted (seed=2, epoch=1, batch=0): injected failure"
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_raises_broken_pool(self, monkeypatch):
+        import dbsadam.harness as harness
+        from concurrent.futures.process import BrokenProcessPool
+
+        caller = os.getpid()
+
+        def die(*args, **kwargs):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("the step ran in the calling process")
+
+        monkeypatch.setattr(harness, "dbs_adam_step", die)
+        with pytest.raises(BrokenProcessPool):
+            compare_optimizers(tiny_config(optimizers=("adam", "dbs_adam")), seeds=(1, 2))
+        assert multiprocessing.active_children() == []
+
+    def test_data_prepared_once_per_seed_in_the_caller(self, monkeypatch, tmp_path):
+        import dbsadam.harness as harness
+
+        # a file, not a list: calls made in a worker would not reach a list here
+        log = tmp_path / "prepared.txt"
+        prepare = harness.prepare_training
+
+        def spy(config, seed):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {seed}\n")
+            return prepare(config, seed)
+
+        monkeypatch.setattr(harness, "prepare_training", spy)
+        cfg = tiny_config(max_epochs=1, patience=1)
+        expected = [f"{os.getpid()} {seed}" for seed in (1, 2)]
+        compare_optimizers(replace(cfg, optimizers=("adam", "amsgrad", "dbs_adam")), seeds=(1, 2))
+        assert log.read_text(encoding="utf-8").splitlines() == expected
+        log.unlink()
+        sensitivity_sweep(replace(cfg, beta_grid=(0.8, 0.9), alpha_grid=(0.5,)))
+        assert log.read_text(encoding="utf-8").splitlines() == expected
+        assert multiprocessing.active_children() == []
+
+    def test_runs_keep_their_order(self):
+        cfg = tiny_config(optimizers=("adam", "amsgrad", "dbs_adam"), max_epochs=1, patience=1)
+        report = compare_optimizers(cfg, seeds=(2, 1))
+        assert [(r.optimizer, r.seed) for r in report.runs] == [
+            (name, seed) for name in cfg.optimizers for seed in (2, 1)]
+        report = sensitivity_sweep(replace(cfg, beta_grid=(0.8, 0.9), alpha_grid=(0.5,)))
+        assert [(r.tag, r.seed) for r in report.runs] == [
+            (f"beta={b},alpha=0.5", seed) for b in (0.8, 0.9) for seed in (1, 2)]
 
 
 class TestEmitReport:
