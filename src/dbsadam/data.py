@@ -104,7 +104,7 @@ class FeatureSchema:
     def from_file(cls, path: str) -> "FeatureSchema":
         """Parse a schema file of "column: role" lines (# starts a comment)."""
         roles: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -169,7 +169,7 @@ def load_csv_dataset(
     label_col = schema.label_column
     kept: dict[str, list] = {c: [] for c in (*feature_cols, label_col)}
     raw_count = invalid = 0
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file, expected a header row")

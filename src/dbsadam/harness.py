@@ -6,14 +6,14 @@ draw from their own substream of the run seed. The split substream depends on
 the seed alone, so every optimizer in a comparison sees identical splits —
 the pairing assumption behind the seed-paired t-tests.
 
-compare_optimizers and sensitivity_sweep prepare each seed's data once, in
-the calling process, and train their (config, seed) runs from it. On Linux
-they train in a pool of forked worker processes, one per CPU that BLAS
-leaves free: cpus // (the first positive OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS or MKL_NUM_THREADS; all cpus when none is set). With BLAS
-at its default of one thread per CPU that is one process, and the runs are
-trained in order in the calling process. Every run is a pure function of
-(config, seed), so the results are the same either way.
+train, compare_optimizers and sensitivity_sweep share one runner, which
+prepares each seed's data once, in the calling process, and trains the
+(config, seed) runs from it. On Linux it trains them in a pool of forked
+worker processes, one per CPU that BLAS leaves free: cpus // (the first
+positive OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS; all cpus
+when none is set). For one run, or with BLAS at its default of one thread
+per CPU, that is one process: the runs train in order in this process.
+Every run is a pure function of (config, seed), so results match either way.
 """
 
 from __future__ import annotations
@@ -250,12 +250,13 @@ def _parse_key(key: str, raw: str) -> object:
 def load_config(path: str | None = None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Build a config from an optional key=value file plus override strings.
 
-    The file is UTF-8 and sets each key at most once; overrides win over it.
+    The file is UTF-8, with or without a byte-order mark, and sets each key
+    at most once; overrides win over it.
     """
     values: dict[str, object] = {}
     if path:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.split("#", 1)[0].strip()
                     if not line:
@@ -346,7 +347,7 @@ def prepare_training(
     carve-out from the training portion, then resampling of what is left.
 
     Returns (training rows before resampling, the resampled training set,
-    validation set, test set); train() fits the second and the resample
+    validation set, test set); a run fits the second and the resample
     command writes it.
     """
     train_full, test_ds = prepare_split(config, seed)
@@ -387,22 +388,10 @@ def _evaluate(net, xs, labels_1h, loss_config, batch_size) -> tuple[float, np.nd
     return total / n, per_sample, preds
 
 
-def _fit_sets(config: ExperimentConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """The (training, validation, test) sets a run fits and scores: those of
-    prepare_training after resampling; a set left with 0 rows is an error."""
-    _, train_ds, val_ds, test_ds = prepare_training(config, seed)
-    for name, ds in (("training", train_ds), ("validation", val_ds), ("test", test_ds)):
-        if ds.n_samples == 0:
-            raise ValueError(f"the {name} split has 0 rows; it needs more data or a larger fraction")
-    return train_ds, val_ds, test_ds
-
-
 def train(config: ExperimentConfig, seed: int) -> RunResult:
     """One full training run: split, resample, fit with early stopping,
     restore the best-validation weights, evaluate on the untouched test set."""
-    started = time.perf_counter()
-    sets = _fit_sets(config, seed)
-    return _fit(config, seed, sets, time.perf_counter() - started)
+    return _train_runs([config], (seed,))[0][0]
 
 
 def _fit(config: ExperimentConfig, seed: int,
@@ -566,7 +555,11 @@ def _train_runs(configs: list[ExperimentConfig], seeds: tuple[int, ...]) -> list
     prepared = {}
     for seed in seeds:
         started = time.perf_counter()
-        prepared[seed] = (_fit_sets(configs[0], seed), time.perf_counter() - started)
+        _, *sets = prepare_training(configs[0], seed)
+        for name, ds in zip(("training", "validation", "test"), sets):
+            if ds.n_samples == 0:
+                raise ValueError(f"the {name} split has 0 rows; it needs more data or a larger fraction")
+        prepared[seed] = (tuple(sets), time.perf_counter() - started)
     jobs = [(index, seed) for index in range(len(configs)) for seed in seeds]
     workers = _worker_count(len(jobs))
     if workers == 1:
@@ -727,10 +720,10 @@ def emit_report(report: ComparisonReport | dict, out_dir: str,
             trace_path = os.path.join(out_dir, "lr_trace.csv")
             with _atomic_open(trace_path, newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(("optimizer", "seed", "batch", "learning_rate"))
+                writer.writerow(("optimizer", "seed", "tag", "batch", "learning_rate"))
                 for run in payload["runs"]:
                     for batch_no, lr in enumerate(run["lr_trace"] or ()):
-                        writer.writerow((run["optimizer"], run["seed"], batch_no, _csv_number(lr)))
+                        writer.writerow((run["optimizer"], run["seed"], run["tag"], batch_no, _csv_number(lr)))
             written.append(trace_path)
     except OSError as exc:
         raise RuntimeError(f"cannot write report to {out_dir}: {exc}") from exc

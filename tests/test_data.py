@@ -86,6 +86,12 @@ class TestFeatureSchema:
         with pytest.raises(ValueError, match=r"s\.txt:3: column 'x' is listed twice"):
             FeatureSchema.from_file(str(f))
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        f = tmp_path / "s.txt"
+        f.write_text("x: feature_numeric\nlabel: label\n", encoding="utf-8-sig")
+        assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert FeatureSchema.from_file(str(f)).roles == {"x": "feature_numeric", "label": "label"}
+
     def test_schema_without_feature_column_rejected(self):
         with pytest.raises(ValueError, match="no feature"):
             FeatureSchema({"x": "ignore", "label": "label"})
@@ -145,6 +151,18 @@ class TestLoadCsv:
         assert table.class_names == ["Slight", "Fatal"]
         assert table.n_samples == 3
         assert table.dropped_rows == 0
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(plain, ["red,1.0,x,yes", "blue,2.0,x,no"])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        table = load_csv_dataset(str(marked), SCHEMA)
+        expected = load_csv_dataset(str(plain), SCHEMA)
+        assert table.columns["color"].tolist() == ["red", "blue"]
+        assert table.columns.keys() == expected.columns.keys()
+        for name, column in expected.columns.items():
+            assert table.columns[name].tolist() == column.tolist()
+        assert table.labels.tolist() == expected.labels.tolist()
 
     def test_missing_schema_column_rejected(self, tmp_path):
         f = tmp_path / "d.csv"

@@ -1,8 +1,10 @@
+import csv
 import dataclasses
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import sys
@@ -190,6 +192,17 @@ class TestConfigFile:
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.cfg")
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" and some editors start a file with EF BB BF
+        text = "max_epochs = 8\nseeds = 7, 8\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        config = load_config(str(marked))
+        assert (config.max_epochs, config.seeds) == (8, (7, 8))
+        assert config == load_config(str(plain))
 
     def test_key_set_twice_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -403,6 +416,41 @@ class TestTrain:
         np.testing.assert_allclose(numeric.std(axis=0), 1.0, atol=1e-12)
 
 
+class TestOneRunPath:
+    """train() is the one-job case of the runner compare and sweep use."""
+
+    def test_train_equals_the_matching_compare_run(self):
+        cfg = tiny_config(optimizers=("adam", "dbs_adam"), dropout_rate=0.2, resampler="smote_enn")
+        report = compare_optimizers(cfg, seeds=(1, 2))
+        assert {run.optimizer for run in report.runs} == {"adam", "dbs_adam"}
+        for run in report.runs:
+            alone = train(replace(cfg, optimizer=run.optimizer), run.seed)
+            assert alone.wall_clock > 0
+            # bit for bit in every field but the timing
+            assert pickle.dumps(replace(alone, wall_clock=0.0)) == pickle.dumps(replace(run, wall_clock=0.0))
+
+    def test_train_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        import dbsadam.harness as harness
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was built")
+
+        for var in harness._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        cfg = tiny_config(optimizers=("adam", "dbs_adam"), max_epochs=1, patience=1)
+        assert train(cfg, 1).epochs_run == 1
+        # the same settings give compare its two workers, so the spy is live
+        with pytest.raises(AssertionError, match="a process pool was built"):
+            compare_optimizers(cfg, seeds=(1, 2))
+
+
 class TestCompare:
     def test_self_comparison_is_null(self):
         # optimizer names must be distinct; dbs_adam with its difficulty
@@ -613,6 +661,18 @@ class TestEmitReport:
         with pytest.raises(RuntimeError, match="No space left"):
             emit_report(report, str(tmp_path))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_sweep_trace_rows_are_keyed_by_tag(self, tmp_path):
+        # the cells of a sweep share optimizer and seeds; only the tag tells them apart
+        cfg = tiny_config(beta_grid=(0.8, 0.9), alpha_grid=(0.5,), sweep_seeds=1)
+        report = sensitivity_sweep(cfg)
+        emit_report(report, str(tmp_path), formats=("csv",))
+        with open(tmp_path / "lr_trace.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["optimizer", "seed", "tag", "batch", "learning_rate"]
+        keys = [(row["optimizer"], row["seed"], row["tag"], row["batch"]) for row in rows]
+        assert len(set(keys)) == len(keys) == sum(len(run.lr_trace) for run in report.runs)
+        assert {row["tag"] for row in rows} == {"beta=0.8,alpha=0.5", "beta=0.9,alpha=0.5"}
 
     def test_csv_row_count(self, tmp_path):
         report = compare_optimizers(tiny_config(optimizers=("adam", "adamw")), seeds=(1, 2))
