@@ -10,6 +10,7 @@ and z-score statistics on the training split only.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -104,7 +105,7 @@ class FeatureSchema:
     def from_file(cls, path: str) -> "FeatureSchema":
         """Parse a schema file of "column: role" lines (# starts a comment)."""
         roles: dict[str, str] = {}
-        with open(path, encoding="utf-8-sig") as fh:
+        with _text_file(path, "schema file") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -116,6 +117,17 @@ class FeatureSchema:
                     raise ValueError(f"{path}:{lineno}: column {col!r} is listed twice")
                 roles[col] = role
         return cls(roles)
+
+
+@contextlib.contextmanager
+def _text_file(path: str, what: str, **kwargs):
+    """path opened as UTF-8 text, a leading byte-order mark skipped; a byte
+    that does not decode raises ValueError naming `what` and the path."""
+    try:
+        with open(path, encoding="utf-8-sig", **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +181,7 @@ def load_csv_dataset(
     label_col = schema.label_column
     kept: dict[str, list] = {c: [] for c in (*feature_cols, label_col)}
     raw_count = invalid = 0
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with _text_file(path, "dataset", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file, expected a header row")

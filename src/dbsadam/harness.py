@@ -9,11 +9,13 @@ the pairing assumption behind the seed-paired t-tests.
 train, compare_optimizers and sensitivity_sweep share one runner, which
 prepares each seed's data once, in the calling process, and trains the
 (config, seed) runs from it. On Linux it trains them in a pool of forked
-worker processes, one per CPU that BLAS leaves free: cpus // (the first
-positive OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS; all cpus
-when none is set). For one run, or with BLAS at its default of one thread
-per CPU, that is one process: the runs train in order in this process.
-Every run is a pure function of (config, seed), so results match either way.
+worker processes, one per CPU that BLAS leaves free (numerics._free_cpus:
+the CPUs divided by the first positive OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS, by all of them when none is set); the
+same rule sets the threads of the resampling's neighbour search. For one run, or with BLAS at
+its default of one thread per CPU, that is one process: the runs train in
+order in this process. Every run is a pure function of (config, seed), so
+results match either way.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ import itertools
 import json
 import math
 import os
-import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import numerics  # _init_worker marks the pool worker there
 from . import resampling  # names looked up per call, so wrappers on the module see it
 from .data import (
     FeatureEncoder,
@@ -59,7 +61,8 @@ from .losses import (
     softmax,
 )
 from .models import SequenceNetwork, network_backward, network_forward
-from .numerics import SeededRng, _set_typed_fields
+from .numerics import SeededRng, _free_cpus, _set_typed_fields
+from .numerics import _BLAS_THREAD_VARS  # noqa: F401  the variables _worker_count reads
 from .optimizers import (
     OPTIMIZER_NAMES,
     OPTIMIZER_STEPS,
@@ -500,31 +503,18 @@ def _fit(config: ExperimentConfig, seed: int,
     )
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _worker_count(jobs: int) -> int:
-    """Processes to train `jobs` runs in: one per CPU that BLAS leaves free.
+    """Processes to train `jobs` runs in: one per CPU that BLAS leaves free
+    (numerics._free_cpus, the rule that also sets the neighbour search's
+    threads), at most one per job.
 
-    Each process runs as many BLAS threads as the first positive value of
-    _BLAS_THREAD_VARS, and one per CPU when none holds one. More processes
-    than cpus // threads contend for the cores: at paper shape on 2 CPUs, 2
-    workers with 2-thread BLAS ran 2-4x slower than one process. The pool
-    forks, so platforms other than Linux get one process.
+    More processes than cpus // BLAS threads contend for the cores: at paper
+    shape on 2 CPUs, 2 workers with 2-thread BLAS ran 2-4x slower than one
+    process. The pool forks, so platforms other than Linux get one process.
     """
-    if jobs < 2 or not sys.platform.startswith("linux"):
+    if jobs < 2:
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    threads = cpus
-    for var in _BLAS_THREAD_VARS:
-        try:
-            value = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            threads = value
-            break
-    return max(1, min(jobs, cpus // threads))
+    return min(jobs, _free_cpus())
 
 
 # set in each worker process by _init_worker: the configs and prepared sets of its pool
@@ -534,6 +524,7 @@ _worker_jobs: tuple[list[ExperimentConfig], dict] | None = None
 def _init_worker(configs: list[ExperimentConfig], prepared: dict) -> None:
     global _worker_jobs
     _worker_jobs = (configs, prepared)
+    numerics._in_pool_worker = True
 
 
 def _fit_job(index: int, seed: int) -> RunResult:

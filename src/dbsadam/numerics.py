@@ -1,5 +1,6 @@
 """Dense float64 arithmetic, seeded RNG, a finite-difference gradient oracle,
-and the field type check of the frozen configs.
+the field type check of the frozen configs, and the CPU share that sets how
+many processes train and how many threads search for neighbours.
 
 Everything downstream (losses, optimizers, models, harness) builds on these
 few primitives. All arrays are 64-bit floats; matrices are 2-D row-major
@@ -9,6 +10,8 @@ ndarrays, vectors are 1-D.
 from __future__ import annotations
 
 import numbers
+import os
+import sys
 import typing
 
 import numpy as np
@@ -40,6 +43,37 @@ def finite_difference_gradient(f, theta: np.ndarray, h: float = 1e-5) -> np.ndar
             raise ValueError(f"non-finite function value at coordinate {i}")
         grad[i] = (f_plus - f_minus) / (2.0 * h)
     return grad
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# set in a worker process of harness._train_runs, whose siblings hold the other CPUs
+_in_pool_worker = False
+
+
+def _free_cpus() -> int:
+    """CPUs that BLAS leaves free: cpus // _blas_threads, at least 1.
+
+    With BLAS at its default of one thread per CPU this is 1. It is also 1
+    off Linux, where the CPU set is not read, and in a pool worker.
+    """
+    if _in_pool_worker or not sys.platform.startswith("linux"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, cpus // _blas_threads(cpus))
+
+
+def _blas_threads(cpus: int) -> int:
+    """Threads BLAS runs per process: the first positive value of
+    _BLAS_THREAD_VARS, else one per CPU."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            return value
+    return cpus
 
 
 class SeededRng:

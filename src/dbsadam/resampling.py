@@ -3,20 +3,27 @@
 Neighbor search is exact brute force under Euclidean distance, in blocks of
 query rows sized so one block's distances fit a fixed byte budget; a full
 N x N matrix never materializes. Ties resolve to the lower row index and a
-point is never its own neighbor.
+point is never its own neighbor. The blocks are shared out among one thread
+per CPU that BLAS leaves free (numerics._free_cpus; one with BLAS at its
+default, and in a pool worker): NumPy and BLAS release the GIL in every
+pass over a block. Each thread holds one block of distances, and the blocks
+are the serial ones, so the tables do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import numpy as np
 
 from .data import LabeledDataset
-from .numerics import SeededRng
+from .numerics import SeededRng, _free_cpus
 
 # bytes of float64 distances in one block of query rows
 _BLOCK_BYTES = 4 << 20
+# bytes of float64 squared-norm sums added to a block at a time
+_SUMS_BYTES = 256 << 10
 
 
 class NeighborIndex:
@@ -74,7 +81,7 @@ def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
 def _neighbor_table(features: np.ndarray, k: int, rows: np.ndarray | None = None) -> np.ndarray:
     """Indices (len(rows), k) of the k nearest other rows of each listed row
     (of every row when rows is None), in blocks of at most _BLOCK_BYTES of
-    distances."""
+    distances, searched on numerics._free_cpus threads."""
     n = features.shape[0]
     if k < 1 or k > n - 1:
         raise ValueError(f"k={k} out of range for {n} rows")
@@ -84,21 +91,62 @@ def _neighbor_table(features: np.ndarray, k: int, rows: np.ndarray | None = None
         # -2 y_j as (F, N) C-contiguous columns, the faster GEMM operand;
         # scaling by -2 is exact, so x_i.(-2 y_j) has the bits of -2 (x_i.y_j)
         minus_2t = np.multiply(features.T, -2.0, order="C")
-        step = max(1, _BLOCK_BYTES // (8 * n))
-        d2 = np.empty((min(step, rows.size), n))
-        prod = np.empty_like(d2)
-        out = np.empty((rows.size, k), dtype=np.int64)
-        for start in range(0, rows.size, step):
-            block = rows[start:start + step]
-            d, p = d2[: block.size], prod[: block.size]
-            # (sq_i + sq_j) - 2 x_i.x_j, in this order: it fixes the result bits
-            np.add(sq[block, None], sq, out=d)
-            np.matmul(features[block], minus_2t, out=p)
-            d += p
-            np.maximum(d, 0.0, out=d)
-            d[np.arange(block.size), block] = np.inf
-            out[start:start + block.size] = _k_smallest(d, k)
+    # BLAS rounds a row's products differently at some block heights, so the
+    # blocks are the same whatever the thread count, and so are the bits
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    sums_step = max(1, _SUMS_BYTES // (8 * n))
+    out = np.empty((rows.size, k), dtype=np.int64)
+
+    def search(take) -> None:
+        d = np.empty((min(step, rows.size), n))
+        sums = np.empty((min(sums_step, d.shape[0]), n))
+        # NumPy's error state is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in iter(take, None):
+                block = rows[start:start + step]
+                b = d[: block.size]
+                np.matmul(features[block], minus_2t, out=b)
+                # (sq_i + sq_j) - 2 x_i.x_j, with the sum rounded first: it fixes the result bits
+                sq_block = sq[block, None]
+                for lo in range(0, block.size, sums_step):
+                    s = sums[: min(sums_step, block.size - lo)]
+                    np.add(sq_block[lo:lo + s.shape[0]], sq, out=s)
+                    b[lo:lo + s.shape[0]] += s
+                np.maximum(b, 0.0, out=b)
+                b[np.arange(block.size), block] = np.inf
+                out[start:start + block.size] = _k_smallest(b, k)
+
+    _share(search, range(0, rows.size, step), _free_cpus())
     return out
+
+
+def _share(work, items: range, threads: int) -> None:
+    """work(take) on min(threads, len(items)) threads, this one included,
+    where take() hands out the next of items, or None once they are spent or
+    a thread has failed. Every thread is joined before this returns, and the
+    first error raised in any of them is raised here."""
+    lock = threading.Lock()
+    pending = iter(items)
+    errors: list[BaseException] = []
+
+    def take():
+        with lock:
+            return None if errors else next(pending, None)
+
+    def run() -> None:
+        try:
+            work(take)
+        except BaseException as exc:  # noqa: BLE001  re-raised below, after the joins
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run) for _ in range(min(threads, len(items)) - 1)]
+    for thread in helpers:
+        thread.start()
+    run()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def smote_generate(

@@ -5,6 +5,8 @@
 recomputes every digest in this tree and rewrites tests/golden.json.
 test_golden.py recomputes them and compares. A change that moves result
 bits on purpose rewrites the file and names the entries that moved.
+`PYTHONPATH=src python tests/golden.py --print` prints this process's digest
+map instead, as one JSON object, and writes nothing.
 
 The digests cover train() on a reduced desk config (every RunResult field
 but wall_clock), the smote_enn and adasyn resampled arrays, and the three
@@ -13,7 +15,11 @@ fields zeroed. The CSV path has its own entries: each protocol config
 (configs/experiment1-4.cfg) run on a generated 600-row CSV in the Addis
 schema for 2 epochs, with the prepare_training arrays and one train() run
 digested. Float results are only reproducible on the same Python,
-NumPy, BLAS and SIMD set, so the file also stores that fingerprint.
+NumPy, BLAS, SIMD set and BLAS thread count: a multi-threaded BLAS sums
+some products in another order. So the file holds one digest map per BLAS
+thread setting, each with that fingerprint: one made with no BLAS thread
+variable set (one thread per CPU) and one made with OPENBLAS_NUM_THREADS=1,
+each computed in its own subprocess.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -40,6 +47,7 @@ from dbsadam.harness import (
     sensitivity_sweep,
     train,
 )
+from dbsadam.numerics import _BLAS_THREAD_VARS, _blas_threads
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_PATH = os.path.join(ROOT, "tests", "golden.json")
@@ -64,7 +72,9 @@ PROTOCOLS = ("experiment1", "experiment2", "experiment3", "experiment4")
 
 def environment() -> dict[str, str]:
     """What float results depend on besides the code: Python, NumPy, the
-    BLAS NumPy links and the SIMD extensions it dispatches to."""
+    BLAS NumPy links, the SIMD extensions it dispatches to and the number of
+    threads BLAS runs (the first positive _BLAS_THREAD_VARS value, else one
+    per CPU)."""
     try:
         build = np.show_config(mode="dicts")
         blas = build["Build Dependencies"]["blas"]
@@ -73,8 +83,9 @@ def environment() -> dict[str, str]:
         simd_id = " ".join([*simd["baseline"], *simd["found"]])
     except (TypeError, KeyError):  # NumPy without show_config(mode="dicts")
         blas_id = simd_id = "unknown"
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": blas_id, "simd": simd_id}
+            "blas": blas_id, "simd": simd_id, "blas_threads": str(_blas_threads(cpus))}
 
 
 def _config(**overrides):
@@ -154,14 +165,33 @@ def digests() -> dict[str, str]:
     return out
 
 
-def main() -> int:
-    payload = {"environment": environment(), "digests": digests()}
+def digest_map(blas_env: dict[str, str]) -> dict:
+    """{"environment", "digests"} from `python golden.py --print` in a
+    subprocess that has blas_env as its only BLAS thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env.update(blas_env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--print"], env=env,
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"golden.py --print exited {done.returncode} with {blas_env}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--print"]:
+        print(json.dumps({"environment": environment(), "digests": digests()}, sort_keys=True))
+        return 0
+    maps = [digest_map({}), digest_map({"OPENBLAS_NUM_THREADS": "1"})]
+    if maps[0]["environment"] == maps[1]["environment"]:  # a one-CPU machine
+        maps = maps[:1]
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump({"maps": maps}, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    print(f"wrote {len(payload['digests'])} digests to {GOLDEN_PATH}")
+    print(f"wrote {len(maps)} maps of {len(maps[0]['digests'])} digests to {GOLDEN_PATH}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

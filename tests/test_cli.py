@@ -170,6 +170,21 @@ class TestExitCodes:
         assert code == 2
         assert "utf-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("victim, reader", [("s.txt", "schema file"), ("d.csv", "dataset")])
+    def test_non_utf8_schema_or_dataset_error_names_the_file(self, tmp_path, capsys, victim, reader):
+        data = tmp_path / "d.csv"
+        data.write_text("x,label\n" + "".join(f"{i},{'ab'[i % 2]}\n" for i in range(20)), encoding="utf-8")
+        schema = tmp_path / "s.txt"
+        schema.write_text("x: feature_numeric\nlabel: label\n", encoding="utf-8")
+        (tmp_path / victim).write_bytes((tmp_path / victim).read_bytes() + b"# \xff\n")
+        code = main([
+            "train", "--dataset", str(data), "--schema_file", str(schema),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert f"error: cannot read {reader} {tmp_path / victim}: 'utf-8' codec can't decode" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("schema_text, message", [
         ("x: feature_numeric\nlabel: label\nx: ignore\n", "s.txt:3: column 'x' is listed twice"),
         ("x: ignore\nlabel: label\n", "no feature"),

@@ -566,6 +566,67 @@ class TestWorkerCount:
         assert harness._worker_count(jobs) == expected
 
 
+class TestSearchThreads:
+    """The neighbour search runs on numerics._free_cpus threads, the rule
+    behind _worker_count."""
+
+    @pytest.mark.parametrize(
+        "env, platform, pool_worker, expected",
+        [
+            ({}, "linux", False, 1),  # BLAS at its default: one thread per CPU
+            ({"OPENBLAS_NUM_THREADS": "1"}, "linux", False, 2),
+            ({"OPENBLAS_NUM_THREADS": "2"}, "linux", False, 1),
+            ({"OMP_NUM_THREADS": "1"}, "linux", False, 2),
+            ({"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "1"}, "linux", False, 2),
+            ({"OPENBLAS_NUM_THREADS": "1"}, "linux", True, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, "darwin", False, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, "win32", False, 1),
+        ],
+    )
+    def test_one_thread_per_cpu_that_blas_leaves_free(self, monkeypatch, env, platform, pool_worker,
+                                                      expected):
+        from dbsadam import numerics
+
+        for var in numerics._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(numerics, "_in_pool_worker", pool_worker)
+        assert numerics._free_cpus() == expected
+
+    def test_threads_are_joined_before_a_fork(self, monkeypatch):
+        # two free CPUs and one row per block, so smote_enn's searches start
+        # helper threads; none may outlive prepare_training or train, where
+        # _train_runs would fork them into its workers
+        import threading
+
+        from dbsadam import numerics, resampling
+
+        for var in numerics._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(resampling, "_BLOCK_BYTES", 0)
+        starts = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        before = threading.active_count()
+        cfg = tiny_config(resampler="smote_enn", max_epochs=1, patience=1)
+        prepare_training(cfg, 1)
+        assert starts and threading.active_count() == before
+        started = len(starts)
+        train(cfg, 1)
+        assert len(starts) > started and threading.active_count() == before
+
+
 class TestWorkerPool:
     """compare and sweep through a forced pool of two worker processes."""
 

@@ -1,3 +1,5 @@
+import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -165,6 +167,127 @@ class TestNeighborTable:
             base = 3 * t
             assert got[base + 1].tolist() == [base, base + 2]
             assert got[base + 2].tolist() == [base, base + 1]
+
+
+@st.composite
+def float_table_case(draw):
+    """Gaussian rows at a drawn scale, so distances carry rounding, with a
+    row subset, a block budget of 0 to 3 rows and a thread count."""
+    n = draw(st.integers(2, 40))
+    features = SeededRng(draw(st.integers(0, 2**16))).normal(size=(n, draw(st.integers(1, 5))))
+    features *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    k = draw(st.integers(1, n - 1))
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64)
+    return features, k, rows, draw(st.integers(0, 3)), draw(st.integers(2, 4))
+
+
+def threaded_and_serial(features, k, rows, budget, threads):
+    """(_neighbor_table on `threads` threads, on one), each for all rows and
+    for the subset rows, with a block budget of `budget` bytes."""
+    tables = []
+    for count in (threads, 1):
+        with mock.patch.object(resampling, "_free_cpus", lambda: count), \
+                mock.patch.object(resampling, "_BLOCK_BYTES", budget):
+            tables.append((_neighbor_table(features, k).tolist(),
+                           _neighbor_table(features, k, rows).tolist()))
+    return tables
+
+
+class TestThreadedNeighborTable:
+    """The search with more than one free CPU, which BLAS at its default
+    never leaves: the threads share out the serial blocks, so the tables
+    are the serial ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=grid_table_case(), rows_per_block=st.integers(0, 3), threads=st.integers(2, 4))
+    def test_grid_tables_match_stable_argsort(self, case, rows_per_block, threads):
+        features, k, rows = case
+        (full, subset), serial = threaded_and_serial(
+            features, k, rows, rows_per_block * 8 * features.shape[0], threads)
+        assert full == brute_force_table(features, k, np.arange(features.shape[0])).tolist()
+        assert subset == brute_force_table(features, k, rows).tolist()
+        assert (full, subset) == serial
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=float_table_case())
+    def test_float_tables_equal_serial_tables(self, case):
+        features, k, rows, rows_per_block, threads = case
+        threaded, serial = threaded_and_serial(
+            features, k, rows, rows_per_block * 8 * features.shape[0], threads)
+        assert threaded == serial
+
+    @pytest.mark.parametrize("rows_per_block", [1, 40])
+    def test_fewer_blocks_than_threads(self, rows_per_block):
+        # 3 blocks or 1 block of rows, 8 threads offered; and no rows at all
+        features = blobs(20, 20, seed=2).features
+        rows = np.array([0, 17, 39])
+        threaded, serial = threaded_and_serial(features, 3, rows, rows_per_block * 8 * 40, 8)
+        assert threaded == serial
+        with mock.patch.object(resampling, "_free_cpus", lambda: 8):
+            assert _neighbor_table(features, 3, np.array([], dtype=np.int64)).shape == (0, 3)
+
+    @pytest.mark.parametrize("threads, blocks, started", [(2, 4, 1), (4, 4, 3), (2, 1, 0), (1, 4, 0)])
+    def test_helper_threads_started_and_joined(self, threads, blocks, started):
+        features = blobs(20, 20, seed=2).features
+        before = threading.active_count()
+        starts = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread)
+            real_start(thread)
+
+        with mock.patch.object(resampling, "_free_cpus", lambda: threads), \
+                mock.patch.object(resampling, "_BLOCK_BYTES", 10 * 8 * 40 if blocks == 4 else 1 << 20), \
+                mock.patch.object(threading.Thread, "start", counting_start):
+            _neighbor_table(features, 3)
+        assert len(starts) == started
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in starts)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_threads_search_the_serial_blocks(self, threads):
+        # BLAS may round a row's products differently at another block
+        # height, so every block keeps its serial rows
+        features = blobs(30, 27, seed=4).features
+        rows = np.arange(0, 57, 2)
+        seen = {}
+        real = resampling._k_smallest
+        for count in (threads, 1):
+            seen[count] = []
+
+            def record(d, k, blocks=seen[count]):
+                blocks.append(d[:, :3].tolist())
+                return real(d, k)
+
+            with mock.patch.object(resampling, "_free_cpus", lambda: count), \
+                    mock.patch.object(resampling, "_BLOCK_BYTES", 4 * 8 * 57), \
+                    mock.patch.object(resampling, "_k_smallest", record):
+                _neighbor_table(features, 3, rows)
+        assert len(seen[1]) == 8
+        assert sorted(seen[threads]) == sorted(seen[1])
+
+    @pytest.mark.parametrize("value", [np.nan, 1e200])
+    def test_every_thread_raises_the_value_error_without_warnings(self, value):
+        # the value in every row, so each block fails; a barrier in _k_smallest
+        # holds each thread until both have computed one block's distances
+        features = blobs(20, 20, seed=1).features
+        features[:, 1] = value
+        barrier = threading.Barrier(2, timeout=30)
+        real = resampling._k_smallest
+
+        def both_threads(d, k):
+            barrier.wait()
+            return real(d, k)
+
+        with mock.patch.object(resampling, "_free_cpus", lambda: 2), \
+                mock.patch.object(resampling, "_BLOCK_BYTES", 20 * 8 * 40), \
+                mock.patch.object(resampling, "_k_smallest", both_threads), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="non-finite"):
+                _neighbor_table(features, 3)
+        assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("value", [np.nan, 1e200])
