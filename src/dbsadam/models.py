@@ -17,6 +17,12 @@ A direction that runs one step (all four at one step, and l2b at every
 length) never reads its W_h (h_0 = 0) or its forget gate (c_prev = 0): that
 W_h is left out, and the direction computes and trains only the i, c, o
 rows W_x[H:] and b[H:].
+
+The recurrences run over step buffers with the gate axis outermost: a
+step's gates are (G, ..., B, H), so every per-gate pass reads one
+C-contiguous block, for layer 1's stacked directions too; the products
+still take batch-major rows, so their BLAS calls and bits are those of a
+per-direction, batch-major implementation.
 """
 
 from __future__ import annotations
@@ -74,7 +80,8 @@ def init_lstm_params(
 
 def _gate_blocks(a: np.ndarray, hidden: int) -> list[np.ndarray]:
     """Views of the gate blocks along the last axis of a (..., nH): f, i, c,
-    o when n = 4, and i, c, o when a one-step direction leaves f out."""
+    o when n = 4, and i, c, o when a one-step direction leaves f out. The
+    per-direction reference network of the tests reads its gates this way."""
     return [a[..., g : g + hidden] for g in range(0, a.shape[-1], hidden)]
 
 
@@ -96,6 +103,22 @@ def _trained_rows(cell: LstmCellParams, one_step: bool) -> slice:
     return slice(cell.hidden_size if one_step else 0, None)
 
 
+def _step_major(n_lead: int, n_outer: int = 1) -> tuple[int, ...]:
+    """Axis order that takes (*lead, B, *outer, K), with n_lead leading and
+    n_outer outer axes, to (*outer, *lead, B, K): a batch-major (..., B, T,
+    K) to a step buffer (T, ..., B, K), and (..., B, T, G, H) or one step's
+    (..., B, G, H) to the gate layout."""
+    first = n_lead + 1
+    return (*range(first, first + n_outer), *range(first), first + n_outer)
+
+
+def _batch_major(n_lead: int) -> tuple[int, ...]:
+    """Axis order that takes (S, *lead, B, K) to (*lead, B, S, K): a step
+    buffer back to batch-major, or one step's gates (G, ..., B, H) to rows
+    (..., B, G, H)."""
+    return (*range(1, n_lead + 2), 0, n_lead + 2)
+
+
 def _sequence_forward(cell: LstmCellParams, xs: np.ndarray) -> tuple[np.ndarray, dict]:
     """Batched LSTM over xs (..., B, T, F) from zero initial state, with one
     set of cell weights per leading index.
@@ -107,37 +130,46 @@ def _sequence_forward(cell: LstmCellParams, xs: np.ndarray) -> tuple[np.ndarray,
     2016, arXiv:1604.01946); the recurrent product h_prev @ W_h.T is added
     from t = 1 on, since h_0 = 0. At T = 1, c_prev = 0, so the forget gate
     is left out and only the i, c, o rows W_x[H:] and b[H:] are projected.
-    The steps run over time-major buffers (..., T, B, .), whose per-step
-    slices are contiguous. Returns hs (..., B, T, H) and the cache for
-    _sequence_backward: the inputs, and views (..., B, T, .) of the activated
-    gates (4H wide, or 3H at T = 1), the cell states and their tanh.
+
+    The steps run over step buffers: gates (T, G, ..., B, H), with G = 4
+    gates f, i, c, o or G = 3 at T = 1, and c, tanh(c) and h (T, ..., B, H).
+    The gate axis sits outside the leading axes, so every per-gate pass of a
+    step reads one C-contiguous (..., B, H) block, which NumPy walks in one
+    run rather than row by row. The products keep batch-major rows: the input
+    product is transposed into the gate buffer once, and each recurrent
+    product is added through a transposed view. Returns hs (..., B, T, H), a
+    view of the h buffer, and the cache for _sequence_backward: the inputs
+    and the step buffers "gates" (activated), "c", "tanh_c" and "h".
     """
     *lead, batch, steps, n_in = xs.shape
-    hidden = cell.hidden_size
+    n_lead, hidden = len(lead), cell.hidden_size
     rows = _trained_rows(cell, steps == 1)
     projected = xs.reshape(*lead, batch * steps, n_in) @ cell.W_x[..., rows, :].swapaxes(-1, -2)
     projected += cell.b[..., None, rows]
-    gates = np.empty((*lead, steps, batch, projected.shape[-1]))
-    gates[...] = projected.reshape(*lead, batch, steps, -1).swapaxes(-3, -2)  # pre-activations
-    hs, cs, tanh_cs = (np.empty((*lead, steps, batch, hidden)) for _ in range(3))
+    n_gates = projected.shape[-1] // hidden
+    gates = np.empty((steps, n_gates, *lead, batch, hidden))
+    gates[...] = projected.reshape(*lead, batch, steps, n_gates, hidden).transpose(
+        _step_major(n_lead, 2))  # pre-activations
+    hs, cs, tanh_cs = (np.empty((steps, *lead, batch, hidden)) for _ in range(3))
+    W_hT, to_gates = cell.W_h.swapaxes(-1, -2), _step_major(n_lead)
+    by_gate = (*lead, batch, n_gates, hidden)  # a recurrent product's rows, split per gate
     for t in range(steps):
-        a = gates[..., t, :, :]
+        a = gates[t]
         if t:
-            a += hs[..., t - 1, :, :] @ cell.W_h.swapaxes(-1, -2)
-        *f, i, c_tilde, o = _gate_blocks(a, hidden)  # views into gates
+            a += (hs[t - 1] @ W_hT).reshape(by_gate).transpose(to_gates)
         # every gate through the sigmoid in four contiguous passes, then the
         # candidate block replaced by the tanh of its pre-activation
-        candidate = np.tanh(c_tilde)
+        candidate = np.tanh(a[-2])
         _gate_sigmoid(a)
-        c_tilde[...] = candidate
-        c, tanh_c = cs[..., t, :, :], tanh_cs[..., t, :, :]
-        np.multiply(i, c_tilde, out=c)
+        a[-2] = candidate
+        c = cs[t]
+        np.multiply(a[-3], candidate, out=c)
         if t:
-            c += f[0] * cs[..., t - 1, :, :]
-        np.tanh(c, out=tanh_c)
-        np.multiply(o, tanh_c, out=hs[..., t, :, :])
-    hs, gates, cs, tanh_cs = (a.swapaxes(-3, -2) for a in (hs, gates, cs, tanh_cs))
-    return hs, {"xs": xs, "gates": gates, "c": cs, "tanh_c": tanh_cs, "h": hs}
+            c += a[0] * cs[t - 1]
+        np.tanh(c, out=tanh_cs[t])
+        np.multiply(a[-1], tanh_cs[t], out=hs[t])
+    return hs.transpose(_batch_major(n_lead)), {
+        "xs": xs, "gates": gates, "c": cs, "tanh_c": tanh_cs, "h": hs}
 
 
 def _sigmoid_slope(s: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -159,66 +191,73 @@ def _sequence_backward(
     out: LstmCellParams | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """BPTT through one direction, or through stacked ones, given upstream
-    d_hs (..., B, T, H).
+    d_hs (..., B, T, H); a transposed view of a (T, ..., B, H) buffer gives
+    the recurrence contiguous steps.
 
-    The recurrence only carries the pre-activation gradients da (..., B, T,
-    4H) back through h, over the forward's time-major buffers; dW_x, db and
-    the input gradient are then one product each over all steps, taken in
-    batch-major row order. dW_h sums da_t^T h_{t-1} over t >= 1, so it is
-    exactly zero at T = 1 and is formed only for T > 1. At T = 1 the forget
-    gate was never computed, so da has 3H columns and dW_x (3H, F) and
-    db (3H,) cover the rows W_x[H:] and b[H:]. The gradients are written
+    The recurrence only carries the pre-activation gradients da back through
+    h. Each step's da is formed in one (G, ..., B, H) block laid out like a
+    step of the forward's gates, so each per-gate pass runs on contiguous
+    memory, and is then copied once into its batch-major rows of a (..., B,
+    T, G*H) array. Those rows feed that step's da @ W_h, and dW_x, dW_h, db
+    and the input gradient are one product each over all steps, so every
+    product takes batch-major rows. dW_h sums da_t^T h_{t-1} over t >= 1, so
+    it is exactly zero at T = 1 and is formed only for T > 1. At T = 1 the
+    forget gate was never computed, so da has 3H columns and dW_x (3H, F)
+    and db (3H,) cover the rows W_x[H:] and b[H:]. The gradients are written
     into the trained rows of out's arrays, shaped like cell's, or of new
     ones. Returns those views and the gradient w.r.t. the inputs (..., B, T,
     F), or None for it when need_dx is False.
     """
     *lead, batch, steps, hidden = d_hs.shape
-    gates, cs, tanh_cs, d_hs = (a.swapaxes(-3, -2) for a in (
-        cache["gates"], cache["c"], cache["tanh_c"], d_hs))
-    da = np.empty(gates.shape)
+    n_lead = len(lead)
+    gates, cs, tanh_cs = cache["gates"], cache["c"], cache["tanh_c"]
+    n_gates = gates.shape[1]
+    d_hs = d_hs.transpose(_step_major(n_lead))
+    # step t's da is formed in d, laid out like gates[t], then copied into
+    # its batch-major rows da_rows[..., t, :, :]
+    d = np.empty(gates.shape[1:])
+    da_rows = np.empty((*lead, batch, steps, n_gates, hidden))
+    to_rows, slope = _batch_major(n_lead), np.empty((*lead, batch, hidden))
     for t in range(steps - 1, -1, -1):
-        g, d = gates[..., t, :, :], da[..., t, :, :]
-        *f, i, c_tilde, o = _gate_blocks(g, hidden)
-        *da_f, _, da_c, da_o = _gate_blocks(d, hidden)
-        tanh_c = tanh_cs[..., t, :, :]
+        g, tanh_c = gates[t], tanh_cs[t]
         last = t == steps - 1  # no later step sends gradient back yet
 
-        dh = d_hs[..., t, :, :] if last else d_hs[..., t, :, :] + dh_next
+        dh = d_hs[t] if last else d_hs[t] + dh_next
         # dc = dc_next + dh * o * (1 - tanh(c)^2)
-        dc = dh * o
-        dc *= _tanh_slope(tanh_c, np.empty_like(dc))
+        dc = dh * g[-1]
+        dc *= _tanh_slope(tanh_c, slope)
         if not last:
             dc += dc_next
-        # back through the gate nonlinearities to pre-activations (..., B, nH):
-        # every gate's sigmoid slope, then c_tilde's tanh slope over its block
+        # back through the gate nonlinearities to pre-activations: every
+        # gate's sigmoid slope, then c_tilde's tanh slope over its block
         _sigmoid_slope(g, d)
-        _tanh_slope(c_tilde, da_c)
-        da_o *= dh
-        da_o *= tanh_c
+        _tanh_slope(g[-2], d[-2])
+        d[-1] *= dh
+        d[-1] *= tanh_c
         # f (when present), i and c_tilde take dc; then i takes c_tilde and
         # c_tilde takes i, and f takes c_prev
-        by_gate = (*lead, batch, -1, hidden)
-        d[..., :-hidden].reshape(by_gate)[...] *= dc[..., None, :]
-        d[..., -3 * hidden : -hidden].reshape(by_gate)[...] *= (
-            g[..., -3 * hidden : -hidden].reshape(by_gate)[..., ::-1, :])
-        if f:
-            da_f[0] *= cs[..., t - 1, :, :] if t else 0.0
+        d[:-1] *= dc
+        d[-3:-1] *= g[-2:-4:-1]
+        if n_gates == 4:
+            d[0] *= cs[t - 1] if t else 0.0
+        step_rows = da_rows[..., t, :, :]
+        step_rows[...] = d.transpose(to_rows)
         if t:
-            dc_next = dc * f[0]
-            dh_next = d @ cell.W_h
+            dc_next = dc * g[0]
+            dh_next = step_rows.reshape(*lead, batch, -1) @ cell.W_h
 
     if out is None:
         out = LstmCellParams(*(np.empty_like(a) for a in (cell.W_x, cell.W_h, cell.b)))
     rows = _trained_rows(cell, steps == 1)
     xs = cache["xs"]
     n_in = xs.shape[-1]
-    da = np.ascontiguousarray(da.swapaxes(-3, -2))  # batch-major
-    da_flat = da.reshape(*lead, batch * steps, -1)
+    da_flat = da_rows.reshape(*lead, batch * steps, -1)
     grads = {"W_x": np.matmul(da_flat.swapaxes(-1, -2), xs.reshape(*lead, batch * steps, n_in),
                               out=out.W_x[..., rows, :])}
     if steps > 1:
-        grads["W_h"] = np.matmul(da[..., 1:, :].reshape(*lead, -1, 4 * hidden).swapaxes(-1, -2),
-                                 cache["h"][..., :-1, :].reshape(*lead, -1, hidden), out=out.W_h)
+        h_prev = cache["h"][:-1].transpose(_batch_major(n_lead))
+        grads["W_h"] = np.matmul(da_rows[..., 1:, :, :].reshape(*lead, -1, 4 * hidden).swapaxes(-1, -2),
+                                 h_prev.reshape(*lead, -1, hidden), out=out.W_h)
     grads["b"] = np.add.reduce(da_flat, axis=-2, out=out.b[..., rows])
     if not need_dx:
         return grads, None
@@ -456,7 +495,7 @@ def network_backward(net: SequenceNetwork, cache: dict, d_logits: np.ndarray) ->
 
     # layer 1's stacked upstream: the fused gradient and its time reverse;
     # the network input needs no gradient, so layer 1 skips its da @ W_x
-    d_fused1 = np.empty((2, steps, batch, d_seq1.shape[-1])).swapaxes(-3, -2)
+    d_fused1 = np.empty((steps, 2, batch, d_seq1.shape[-1])).transpose(_batch_major(1))
     if cache["mask1"] is not None:
         np.multiply(d_seq1, cache["mask1"], out=d_fused1[0])
     else:

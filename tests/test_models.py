@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbsadam import models
 from dbsadam.losses import LossConfig, loss_gradient, loss_value, one_hot, softmax
 from dbsadam.models import (
     LstmCellParams,
@@ -66,12 +69,13 @@ class TestLstmCell:
     def test_all_zero_parameters(self):
         cell = zero_cell(3, 2)
         _, cache = _sequence_forward(cell, np.zeros((1, 1, 2)))
-        # one step from c_prev = 0: the forget gate is not computed
-        i, c_tilde, o = np.split(cache["gates"][:, 0], 3, axis=1)
+        # one step from c_prev = 0: the forget gate is not computed; the
+        # cache holds step buffers, gates (T, G, B, H) and c (T, B, H)
+        i, c_tilde, o = cache["gates"][0]
         for g in (i, o):
             assert np.allclose(g, 0.5)
         assert np.allclose(c_tilde, 0.0)
-        assert np.allclose(cache["c"][:, 0], 0.0)
+        assert np.allclose(cache["c"][0], 0.0)
         assert np.allclose(forward_only(cell, np.zeros((1, 2))), 0.0)
 
     def test_zero_weights_nonzero_cell_state(self):
@@ -100,12 +104,55 @@ class TestLstmCell:
         for steps, n_gates in ((20, 4), (1, 3)):
             xs = SeededRng(22).normal(size=(1, steps, 3)) * 3
             hs, cache = _sequence_forward(cell, xs)
-            assert cache["gates"].shape == (1, steps, 4 * n_gates)
-            *sigmoid_gates, _, o = np.split(cache["gates"], n_gates, axis=2)
+            assert cache["gates"].shape == (steps, n_gates, 1, 4)
+            *sigmoid_gates, _, o = (cache["gates"][:, g] for g in range(n_gates))
             for g in (*sigmoid_gates, o):
                 assert np.all((g > 0) & (g < 1))
             assert np.all(np.abs(hs) < 1)
             assert np.all(np.isfinite(cache["c"]))
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_contiguous_step_blocks_and_reference_bits(self, steps, lead, monkeypatch):
+        # every per-gate pass of a step reads one C-contiguous block, for
+        # stacked directions too, and each direction keeps the bits of the
+        # per-direction reference
+        hidden, inputs, batch = 4, 3, 5
+        rng = SeededRng(23 + steps)
+        directions = [random_cell(hidden, inputs, seed) for seed in range(math.prod(lead))]
+        for d in directions:
+            d.b[:] = rng.normal(size=d.b.shape)
+        cell = LstmCellParams(*(np.stack([getattr(d, k) for d in directions]) for k in ("W_x", "W_h", "b"))
+                              ) if lead else directions[0]
+        xs = rng.normal(size=(*lead, batch, steps, inputs))
+        upstream = rng.normal(size=(*lead, batch, steps, hidden))
+        n_gates = 3 if steps == 1 else 4
+
+        hs, cache = _sequence_forward(cell, xs)
+        assert cache["gates"].shape == (steps, n_gates, *lead, batch, hidden)
+        for t in range(steps):
+            for g in range(n_gates):
+                assert cache["gates"][t, g].flags.c_contiguous
+            for name in ("c", "tanh_c", "h"):
+                assert cache[name][t].shape == (*lead, batch, hidden) and cache[name][t].flags.c_contiguous
+        # the backward forms each step's da in the block _sigmoid_slope fills
+        seen = []
+        slope = models._sigmoid_slope
+        monkeypatch.setattr(models, "_sigmoid_slope", lambda s, out: seen.append(
+            (out.shape, out.flags.c_contiguous, s.flags.c_contiguous)) or slope(s, out))
+        grads, dxs = _sequence_backward(cell, cache, upstream)
+        assert seen == [((n_gates, *lead, batch, hidden), True, True)] * steps
+
+        for k, direction in enumerate(directions):
+            at = (k,) if lead else ()
+            ref_hs, ref_cache = reference_network.sequence_forward(direction, xs[at])
+            ref_grads, ref_dxs = reference_network.sequence_backward(direction, ref_cache, upstream[at])
+            assert np.array_equal(hs[at], ref_hs)
+            assert np.array_equal(cache["c"][(slice(None), *at)], ref_cache["c"].swapaxes(0, 1))
+            assert grads.keys() == ref_grads.keys()
+            for name in grads:
+                assert np.array_equal(grads[name][at], ref_grads[name]), name
+            assert np.array_equal(dxs[at], ref_dxs)
 
 
 def tiny_network(seed, dropout=0.0, **kwargs):
